@@ -11,7 +11,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     backward,
-    elementwise,
     finite_diff_grad,
     matmul,
     reduce,

@@ -103,7 +103,7 @@ def load_checkpoint(dir_path: str | Path) -> tuple[ModelParams, ModelConfig, lis
         raise CheckpointError(f"missing {MANIFEST_NAME} in {dir_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt manifest {manifest_path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise CheckpointError(f"corrupt manifest {manifest_path}: not an object")

@@ -16,6 +16,7 @@ import argparse
 import copy
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,30 +46,13 @@ GRADCHECK_MAX_PARAMS = 5000
 # Desk-scale defaults; the larger corpus-scale preset from the experiments
 # (128 maps per branch, ratio 16, batch 64) is documented in the README.
 DEFAULT_RUN_CONFIG: dict = {
-    "model": {
-        "n_max": 50,
-        "d": 50,
-        "filter_sizes": [3, 3, 3],
-        "maps_per_branch": 8,
-        "padding": "valid",
-        "r": 4,
-        "pieces": 3,
-        "dropout_rate": 0.5,
-        "conv_activation": "identity",
-    },
+    "model": {k: v for k, v in ModelConfig().to_dict().items() if k != "num_classes"},
     "embeddings": {
         "trainable": True,
         "scale": 0.1,
         "vectors": None,
     },
-    "train": {
-        "batch_size": 16,
-        "learning_rate": 1e-3,
-        "max_epochs": 50,
-        "patience": 5,
-        "dev_fraction": 0.10,
-        "seed": 42,
-    },
+    "train": asdict(TrainConfig()),
     "data": {
         "dataset": None,
         "min_freq": 1,
@@ -146,6 +130,17 @@ def _model_config(cfg: dict, num_classes: int) -> ModelConfig:
     return ModelConfig.from_dict({**cfg["model"], "num_classes": num_classes})
 
 
+def _train_kwargs(cfg: dict) -> dict:
+    """The embedding and vocabulary keyword arguments of `train()`."""
+    return {
+        "vectors_path": cfg["embeddings"]["vectors"],
+        "embeddings_trainable": bool(cfg["embeddings"]["trainable"]),
+        "embed_scale": float(cfg["embeddings"]["scale"]),
+        "min_freq": int(cfg["data"]["min_freq"]),
+        "max_vocab": cfg["data"]["max_vocab"],
+    }
+
+
 def _require_dataset(cfg: dict) -> Path:
     dataset = cfg["data"]["dataset"]
     if not dataset:
@@ -170,11 +165,7 @@ def cmd_train(config_path: str | None, sets: list[str], seed: int | None, out: s
         model_config,
         train_config,
         (examples, label_names),
-        vectors_path=cfg["embeddings"]["vectors"],
-        embeddings_trainable=bool(cfg["embeddings"]["trainable"]),
-        embed_scale=float(cfg["embeddings"]["scale"]),
-        min_freq=int(cfg["data"]["min_freq"]),
-        max_vocab=cfg["data"]["max_vocab"],
+        **_train_kwargs(cfg),
         out_dir=out,
         log=print,
     )
@@ -267,16 +258,7 @@ def cmd_sweep_ratio(
         model_config = ModelConfig.from_dict(
             {**cfg["model"], "r": ratio, "num_classes": len(label_names)}
         )
-        result = train(
-            model_config,
-            train_config,
-            (examples, label_names),
-            vectors_path=cfg["embeddings"]["vectors"],
-            embeddings_trainable=bool(cfg["embeddings"]["trainable"]),
-            embed_scale=float(cfg["embeddings"]["scale"]),
-            min_freq=int(cfg["data"]["min_freq"]),
-            max_vocab=cfg["data"]["max_vocab"],
-        )
+        result = train(model_config, train_config, (examples, label_names), **_train_kwargs(cfg))
         rows.append((ratio, result.report.best_dev_acc))
         print(f"r={ratio} dev_accuracy={result.report.best_dev_acc:.4f}")
 

@@ -76,29 +76,32 @@ def load_pretrained(
     weights = rng.uniform(-scale, scale, (vocab_size, d_expected))
     weights[PAD_ID] = 0.0
     covered: set[int] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if line_num == 1 and len(parts) == 2 and _all_ints(parts):
-                continue  # word2vec-style "count dim" header
-            token, values = parts[0], parts[1:]
-            if len(values) != d_expected:
-                raise DataError(
-                    f"{path}: line {line_num}: expected {d_expected} values "
-                    f"for token {token!r}, got {len(values)}"
-                )
-            if token not in vocab:
-                continue
-            idx = vocab.id_of(token)
-            if idx in (PAD_ID, UNK_ID):
-                continue  # reserved rows keep their conventions
-            try:
-                weights[idx] = [float(v) for v in values]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {line_num}: malformed value ({exc})") from None
-            covered.add(idx)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_num, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts:
+                    continue
+                if line_num == 1 and len(parts) == 2 and _all_ints(parts):
+                    continue  # word2vec-style "count dim" header
+                token, values = parts[0], parts[1:]
+                if len(values) != d_expected:
+                    raise DataError(
+                        f"{path}: line {line_num}: expected {d_expected} values "
+                        f"for token {token!r}, got {len(values)}"
+                    )
+                if token not in vocab:
+                    continue
+                idx = vocab.id_of(token)
+                if idx in (PAD_ID, UNK_ID):
+                    continue  # reserved rows keep their conventions
+                try:
+                    weights[idx] = [float(v) for v in values]
+                except ValueError as exc:
+                    raise DataError(f"{path}: line {line_num}: malformed value ({exc})") from None
+                covered.add(idx)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     hits = len(covered)
     real = max(vocab_size - 2, 1)
     report = CoverageReport(hits=hits, misses=vocab_size - 2 - hits, fraction=hits / real)

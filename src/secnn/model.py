@@ -3,10 +3,10 @@ embedded sentence, stacked as channels, re-weighted by a squeeze-and-
 excitation gate, summed, piecewise max-pooled, and classified.
 
 Shape chain for a batch of B sentences of length n with embedding dim d,
-M total feature maps and p pooling pieces:
+m maps per branch, M total feature maps and p pooling pieces:
 
-    (B, n, d) --conv--> (B, H, d) per map      H = n-k+1 valid, n same
-              --stack-> (B, H, W, M)           W = d
+    (B, n, d) --conv--> (m, B, H, d) per branch  H = n-k+1 valid, n same
+              --stack-> (B, H, W, M)             W = d
               --squeeze-> (B, M) --excite-> (B, M) in (0, 1)
               --scale--> (B, H, W, M) --sum--> (B, H, W)
               --pool---> (B, p, W) --flatten-> (B, p*W) --dense-> (B, C)
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tc
 from .tensor import Rng, ShapeError, Tensor, record_op
@@ -196,33 +197,36 @@ def init_params(config: ModelConfig, rng: Rng, embedding: EmbeddingMatrix) -> Mo
 # Convolution
 
 def conv1d_valid(e: Tensor, filt: Tensor, activation: str = "identity") -> Tensor:
-    """Depthwise valid convolution: out[b, j, l] = sum_i filt[i, l] * e[b, j+i, l].
+    """Depthwise valid convolution: out[..., b, j, l] = sum_i filt[..., i, l] * e[b, j+i, l].
 
     The sum runs over the k window positions only, so the output keeps the
-    embedding width d and shrinks the length to n-k+1.
+    embedding width d and shrinks the length to n-k+1.  Leading filter axes
+    index maps: a (k, d) filter gives one (B, H, d) map, a branch's
+    (m, k, d) bank gives the (m, B, H, d) block of its maps.
     """
-    if e.ndim != 3 or filt.ndim != 2:
-        raise ShapeError(f"conv1d expects (B,n,d) and (k,d), got {e.shape} and {filt.shape}")
+    if e.ndim != 3 or filt.ndim < 2:
+        raise ShapeError(f"conv1d expects (B,n,d) and (...,k,d), got {e.shape} and {filt.shape}")
     batch, n, d = e.shape
-    k, fd = filt.shape
+    k, fd = filt.shape[-2:]
     if fd != d:
         raise ShapeError(f"filter width {fd} does not match embedding dim {d}")
     if k > n:
         raise ShapeError(f"filter length {k} exceeds sequence length {n}")
     height = n - k + 1
+    bank = filt.data.reshape(-1, k, d)
+    out_shape = filt.shape[:-2] + (batch, height, d)
 
-    data = np.zeros((batch, height, d))
-    for i in range(k):
-        data += filt.data[i] * e.data[:, i : i + height, :]
-    out = Tensor(data, requires_grad=tc._propagates(e, filt))
+    windows = sliding_window_view(e.data, k, axis=1)  # (B, H, d, k), no copy
+    data = np.einsum("mkd,bhdk->mbhd", bank, windows)
+    out = Tensor(data.reshape(out_shape), requires_grad=tc._propagates(e, filt))
 
     def bw(g):
+        g = g.reshape(bank.shape[0], batch, height, d)
         de = np.zeros_like(e.data)
-        df = np.empty_like(filt.data)
         for i in range(k):
-            de[:, i : i + height, :] += filt.data[i] * g
-            df[i] = (e.data[:, i : i + height, :] * g).sum(axis=(0, 1))
-        return de, df
+            de[:, i : i + height, :] += np.einsum("md,mbhd->bhd", bank[:, i], g)
+        dfilt = np.einsum("bhdk,mbhd->mkd", windows, g)
+        return de, dfilt.reshape(filt.shape)
 
     record_op(out, (e, filt), bw)
     return _conv_activation(out, activation)
@@ -230,10 +234,11 @@ def conv1d_valid(e: Tensor, filt: Tensor, activation: str = "identity") -> Tenso
 
 def conv1d_same(e: Tensor, filt: Tensor, activation: str = "identity") -> Tensor:
     """Length-preserving convolution: zero-pad floor((k-1)/2) rows in front
-    and ceil((k-1)/2) behind, then run the valid convolution."""
-    if e.ndim != 3 or filt.ndim != 2:
-        raise ShapeError(f"conv1d expects (B,n,d) and (k,d), got {e.shape} and {filt.shape}")
-    k = filt.shape[0]
+    and ceil((k-1)/2) behind, then run the valid convolution.  Filters are
+    shaped as for `conv1d_valid`; the input is padded once per call."""
+    if e.ndim != 3 or filt.ndim < 2:
+        raise ShapeError(f"conv1d expects (B,n,d) and (...,k,d), got {e.shape} and {filt.shape}")
+    k = filt.shape[-2]
     left = (k - 1) // 2
     right = (k - 1) - left
     padded = _pad_length(e, left, right)
@@ -268,21 +273,31 @@ def _pad_length(e: Tensor, left: int, right: int) -> Tensor:
 # Channel stacking and the squeeze-and-excitation gate
 
 def stack_channels(maps: list[Tensor]) -> Tensor:
-    """Stack M same-shape (B, H, W) maps into (B, H, W, M), in list order."""
+    """Stack feature maps into (B, H, W, M) channels, in list order.
+
+    Each entry is one (B, H, W) map or a (..., B, H, W) block of maps whose
+    leading axes enumerate channels in row-major order; all entries share
+    (B, H, W).
+    """
     if not maps:
         raise ShapeError("stack_channels requires at least one feature map")
-    shape = maps[0].shape
+    shape = maps[0].shape[-3:]
     for i, m in enumerate(maps):
-        if m.shape != shape:
+        if m.ndim < 3 or m.shape[-3:] != shape:
             raise ShapeError(
-                f"feature map {i} has shape {m.shape}, expected {shape}; "
+                f"feature map {i} has shape {m.shape}, expected (..., *{shape}); "
                 "all stacked channels must agree"
             )
-    data = np.stack([m.data for m in maps], axis=-1)
+    blocks = [m.data.reshape((-1,) + shape) for m in maps]
+    data = np.concatenate([np.moveaxis(blk, 0, -1) for blk in blocks], axis=-1)
     out = Tensor(data, requires_grad=any(m.requires_grad for m in maps))
+    starts = np.cumsum([blk.shape[0] for blk in blocks])[:-1]
 
     def bw(g):
-        return tuple(np.ascontiguousarray(g[..., i]) for i in range(len(maps)))
+        return tuple(
+            np.ascontiguousarray(np.moveaxis(part, -1, 0)).reshape(m.shape)
+            for m, part in zip(maps, np.split(g, starts, axis=-1))
+        )
 
     record_op(out, tuple(maps), bw)
     return out
@@ -455,14 +470,15 @@ def forward(
     embedded = _expect(lookup(params.embedding, ids), (b, n, d), "embedded", trace)
 
     conv = conv1d_valid if config.padding == "valid" else conv1d_same
-    maps = []
-    for branch, branch_filters in enumerate(params.filters):
-        for j in range(config.maps_per_branch):
-            filt = tc.index_axis0(branch_filters, j)
-            fmap = conv(embedded, filt, activation=config.conv_activation)
-            maps.append(_expect(fmap, (b, height, width), f"feature_map.{branch}.{j}", trace))
+    m = config.maps_per_branch
+    blocks = []
+    for branch, bank in enumerate(params.filters):
+        block = conv(embedded, bank, activation=config.conv_activation)
+        blocks.append(_expect(block, (m, b, height, width), f"feature_maps.{branch}", None))
+        if trace is not None:
+            trace.update({f"feature_map.{branch}.{j}": block.shape[1:] for j in range(m)})
 
-    stacked = _expect(stack_channels(maps), (b, height, width, channels), "stacked", trace)
+    stacked = _expect(stack_channels(blocks), (b, height, width, channels), "stacked", trace)
     squeezed = _expect(se_squeeze(stacked), (b, channels), "squeezed", trace)
     gates = _expect(se_excite(squeezed, params.se_w1, params.se_w2), (b, channels), "gates", trace)
     scaled = _expect(se_scale(stacked, gates), (b, height, width, channels), "scaled", trace)

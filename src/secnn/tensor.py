@@ -26,7 +26,6 @@ __all__ = [
     "Rng",
     "ShapeError",
     "NumericError",
-    "elementwise",
     "add",
     "sub",
     "mul",
@@ -35,7 +34,6 @@ __all__ = [
     "matmul",
     "transpose",
     "reshape",
-    "index_axis0",
     "reduce",
     "backward",
     "finite_diff_grad",
@@ -309,24 +307,6 @@ def sigmoid(a: TensorLike) -> Tensor:
     return out
 
 
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "relu": relu, "sigmoid": sigmoid}
-_UNARY = {"relu", "sigmoid"}
-
-
-def elementwise(op: str, a: TensorLike, b: TensorLike | None = None) -> Tensor:
-    """Dispatch by name: binary {add, sub, mul} or unary {relu, sigmoid}."""
-    fn = _ELEMENTWISE.get(op)
-    if fn is None:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    if op in _UNARY:
-        if b is not None:
-            raise ValueError(f"{op} takes a single operand")
-        return fn(a)
-    if b is None:
-        raise ValueError(f"{op} requires two operands")
-    return fn(a, b)
-
-
 # --------------------------------------------------------------------------
 # Matrix and movement operations
 
@@ -364,22 +344,6 @@ def reshape(a: TensorLike, shape: tuple) -> Tensor:
 
     def bw(g):
         return (g.reshape(a.shape),)
-
-    record_op(out, (a,), bw)
-    return out
-
-
-def index_axis0(a: TensorLike, i: int) -> Tensor:
-    """Select slice `i` along the leading axis; backward scatters into it."""
-    a = _coerce(a)
-    if a.ndim < 1 or not (0 <= i < a.shape[0]):
-        raise ShapeError(f"index {i} out of range for shape {a.shape}")
-    out = Tensor(a.data[i], requires_grad=a.requires_grad)
-
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[i] = g
-        return (full,)
 
     record_op(out, (a,), bw)
     return out

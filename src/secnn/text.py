@@ -172,20 +172,23 @@ def load_dataset(path: str | Path) -> tuple[list[LabeledExample], list[str]]:
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     rows: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["label", "text"]:
-            raise DataError(f"expected header 'label,text' in {path}, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}: malformed row at line {reader.line_num}: {row!r}")
-            label, text = row
-            if not label:
-                raise DataError(f"{path}: empty label at line {reader.line_num}")
-            rows.append((label, text))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["label", "text"]:
+                raise DataError(f"expected header 'label,text' in {path}, got {header}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise DataError(f"{path}: malformed row at line {reader.line_num}: {row!r}")
+                label, text = row
+                if not label:
+                    raise DataError(f"{path}: empty label at line {reader.line_num}")
+                rows.append((label, text))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path} is not a readable UTF-8 CSV: {exc}") from None
     if not rows:
         raise DataError(f"dataset is empty: {path}")
     label_names = sorted({label for label, _ in rows})

@@ -50,7 +50,7 @@ GRADCHECK_TOLERANCE = 1e-4
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 64
+    batch_size: int = 16
     learning_rate: float = 1e-3
     max_epochs: int = 50
     patience: int = 5
@@ -360,6 +360,8 @@ def train(
                 break
 
     _restore(params, best)
+    for _, t in params.named_tensors():
+        t.data[...] = t.data.astype(np.float32)  # the precision the checkpoint stores
     report.best_dev_acc = best_dev
     report.wall_time_s = time.perf_counter() - started
 

@@ -62,6 +62,20 @@ def test_roundtrip_preserves_metadata(tmp_path, trained_result):
     assert params.embedding.trainable == result.params.embedding.trainable
 
 
+def test_train_result_predicts_as_reloaded_checkpoint(tmp_path, trained_result):
+    # train() returns the parameters at the precision the checkpoint stores
+    result, examples = trained_result
+    ck = save_checkpoint(tmp_path / "ck", result.params, result.config,
+                         result.label_names, result.vocab)
+    params, config, label_names, vocab = load_checkpoint(ck)
+    for ex in examples[:16]:
+        label1, probs1 = predict(result.params, result.config, result.vocab,
+                                 result.label_names, ex.text)
+        label2, probs2 = predict(params, config, vocab, label_names, ex.text)
+        assert label1 == label2
+        assert np.array_equal(probs1, probs2)
+
+
 def make_small_checkpoint(tmp_path):
     vocab = build_vocab([LabeledExample("one two three", 0), LabeledExample("four five", 1)])
     cfg = ModelConfig(

@@ -192,6 +192,35 @@ def test_eval_corrupted_manifest_exits_1(trained_out, tmp_path):
     assert main(["eval", str(broken), str(csv_path)]) == EXIT_CONFIG
 
 
+def test_eval_non_utf8_dataset_exits_2(trained_out, tmp_path, capsys):
+    checkpoint, _, _ = trained_out
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"label,text\nneg,caf\xe9\n")
+    assert main(["eval", str(checkpoint), str(bad)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_train_non_utf8_vectors_exit_2(tmp_path, keyword_csv, capsys):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_bytes(b"caf\xe9 1 2 3\n")
+    args = fast_train_args(keyword_csv, tmp_path / "out") + ["--set", f"embeddings.vectors={vectors}"]
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_eval_non_utf8_manifest_exits_1(trained_out, tmp_path, capsys):
+    import shutil
+
+    checkpoint, csv_path, _ = trained_out
+    broken = tmp_path / "broken_ck"
+    shutil.copytree(checkpoint, broken)
+    (broken / "manifest.json").write_bytes(b'{"format_version": "\xe9"}')
+    assert main(["eval", str(broken), str(csv_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_predict_outputs_label_and_probs(trained_out, capsys):
     checkpoint, _, _ = trained_out
     examples, label_names = make_keyword_dataset(64, seed=11)

@@ -139,6 +139,38 @@ def test_conv_gradients_match_finite_differences():
         assert rel_err(grads[f].data, fd_f.data) < 1e-6
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("conv_fn", [conv1d_valid, conv1d_same])
+def test_conv_bank_matches_stacked_single_maps(conv_fn, seed):
+    # one (m, k, d) bank call against m single-map calls: values and both gradients
+    rng = Rng(600 + seed)
+    batch, n, d, m = (int(rng.integers(1, 4)), int(rng.integers(1, 9)),
+                      int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+    k = int(rng.integers(1, n + 1 if conv_fn is conv1d_valid else n + 3))
+    e = Tensor(rng.uniform(-2, 2, (batch, n, d)), requires_grad=True)
+    bank = Tensor(rng.uniform(-2, 2, (m, k, d)), requires_grad=True)
+    singles = [Tensor(bank.data[j].copy(), requires_grad=True) for j in range(m)]
+
+    with GradTape() as tape:
+        block = conv_fn(e, bank)
+        weight = Tensor(rng.uniform(-1, 1, block.shape))
+        loss = tc.reduce("sum", tc.mul(block, weight))
+    grads = backward(loss, tape)
+
+    e_ref = Tensor(e.data, requires_grad=True)
+    with GradTape() as tape:
+        maps = [conv_fn(e_ref, f) for f in singles]
+        terms = [tc.reduce("sum", tc.mul(fm, Tensor(weight.data[j]))) for j, fm in enumerate(maps)]
+        loss_ref = sum(terms[1:], terms[0])
+    ref_grads = backward(loss_ref, tape)
+
+    assert block.shape == (m,) + maps[0].shape
+    assert np.max(np.abs(block.data - np.stack([fm.data for fm in maps]))) <= 1e-12
+    assert np.max(np.abs(grads[e].data - ref_grads[e_ref].data)) <= 1e-12
+    ref_bank = np.stack([ref_grads[f].data for f in singles])
+    assert np.max(np.abs(grads[bank].data - ref_bank)) <= 1e-12
+
+
 # --------------------------------------------------------------------------
 # Channel stack
 
@@ -165,6 +197,35 @@ def test_stack_orders_by_branch_then_filter():
     c = Tensor(np.full((1, 1, 1), 3.0))
     stacked = stack_channels([a, b, c])
     assert stacked.data[0, 0, 0].tolist() == [1.0, 2.0, 3.0]
+
+
+def test_stack_blocks_match_maps_listed_one_by_one():
+    rng = Rng(8)
+    shape = (2, 3, 4)
+    blocks = [
+        Tensor(rng.uniform(-1, 1, (3,) + shape), requires_grad=True),
+        Tensor(rng.uniform(-1, 1, shape), requires_grad=True),
+        Tensor(rng.uniform(-1, 1, (2, 2) + shape), requires_grad=True),
+    ]
+    singles = [
+        Tensor(fm.copy(), requires_grad=True)
+        for blk in blocks
+        for fm in blk.data.reshape((-1,) + shape)
+    ]
+    weight = Tensor(rng.uniform(-1, 1, shape + (len(singles),)))
+
+    results = []
+    for entries in (blocks, singles):
+        with GradTape() as tape:
+            stacked = stack_channels(entries)
+            loss = tc.reduce("sum", tc.mul(stacked, weight))
+        grads = backward(loss, tape)
+        results.append((stacked.data, [grads[t].data for t in entries]))
+
+    (by_block, block_grads), (by_map, map_grads) = results
+    assert np.array_equal(by_block, by_map)
+    flat = np.concatenate([g.reshape((-1,) + shape) for g in block_grads])
+    assert np.array_equal(flat, np.stack(map_grads))
 
 
 # --------------------------------------------------------------------------
@@ -577,3 +638,18 @@ def test_forward_rejects_wrong_length_batch():
     cfg, params, _ = tiny_setup()
     with pytest.raises(ShapeError):
         forward(params, cfg, np.zeros((2, cfg.n_max + 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("activation", ["identity", "relu"])
+def test_training_step_tape_ops_do_not_grow_with_maps(activation):
+    # one conv call per branch: the tape must not record an op per map
+    counts = []
+    for maps in (1, 8):
+        cfg, params, batch = tiny_setup(
+            maps_per_branch=maps, dropout_rate=0.5, conv_activation=activation
+        )
+        with GradTape() as tape:
+            logits = forward(params, cfg, batch, training=True, rng=Rng(0))
+            cross_entropy_loss(logits, batch.labels)
+        counts.append(len(tape))
+    assert counts[0] == counts[1]

@@ -12,7 +12,6 @@ from secnn.tensor import (
     ShapeError,
     Tensor,
     backward,
-    elementwise,
     finite_diff_grad,
 )
 
@@ -26,15 +25,15 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 # Elementwise
 
 def test_sigmoid_at_zero():
-    assert elementwise("sigmoid", Tensor([0.0])).tolist() == [0.5]
+    assert tc.sigmoid(Tensor([0.0])).tolist() == [0.5]
 
 
 def test_relu_definition():
-    assert elementwise("relu", Tensor([-1.0, 2.0])).tolist() == [0.0, 2.0]
+    assert tc.relu(Tensor([-1.0, 2.0])).tolist() == [0.0, 2.0]
 
 
 def test_add_elementwise():
-    assert elementwise("add", Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).tolist() == [4.0, 6.0]
+    assert tc.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).tolist() == [4.0, 6.0]
 
 
 def test_sub_mul():
@@ -53,15 +52,6 @@ def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ShapeError) as exc:
         tc.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
     assert "(2,)" in str(exc.value) and "(3,)" in str(exc.value)
-
-
-def test_elementwise_rejects_unknown_and_bad_arity():
-    with pytest.raises(ValueError):
-        elementwise("div", Tensor([1.0]), Tensor([2.0]))
-    with pytest.raises(ValueError):
-        elementwise("relu", Tensor([1.0]), Tensor([2.0]))
-    with pytest.raises(ValueError):
-        elementwise("add", Tensor([1.0]))
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
@@ -254,7 +244,6 @@ def test_every_op_matches_finite_differences(seed):
         "max": lambda t: tc.reduce("sum", tc.reduce("max", t, axes=1)),
         "transpose": lambda t: tc.reduce("sum", tc.sigmoid(tc.transpose(t))),
         "reshape": lambda t: tc.reduce("sum", tc.sigmoid(tc.reshape(t, (3, 2)))),
-        "index": lambda t: tc.reduce("sum", tc.sigmoid(tc.index_axis0(t, 1))),
     }
     for name, f in cases.items():
         with GradTape() as tape:

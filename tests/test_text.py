@@ -182,6 +182,13 @@ def test_load_dataset_requires_header(tmp_path):
         load_dataset(path)
 
 
+def test_load_dataset_csv_parser_error_is_data_error(tmp_path):
+    # a quoted field past the csv module's field size limit raises csv.Error
+    path = write_csv(tmp_path / "d.csv", 'label,text\nneg,"' + "x" * 200_000 + '"\n')
+    with pytest.raises(DataError):
+        load_dataset(path)
+
+
 # --------------------------------------------------------------------------
 # Splitting
 
