@@ -125,7 +125,8 @@ def load_checkpoint(dir_path: str | Path) -> tuple[ModelParams, ModelConfig, lis
     label_map = manifest["label_map"]
     if not isinstance(label_map, dict) or not label_map:
         raise CheckpointError("manifest label_map must be a non-empty object")
-    if sorted(label_map.values()) != list(range(len(label_map))):
+    ids = list(label_map.values())
+    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
         raise CheckpointError(f"label_map ids must be 0..C-1, got {label_map}")
     if len(label_map) != config.num_classes:
         raise CheckpointError(
@@ -152,18 +153,21 @@ def load_checkpoint(dir_path: str | Path) -> tuple[ModelParams, ModelConfig, lis
     seen: dict[str, np.ndarray] = {}
     offset = 0
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"manifest tensor entry must be an object, got {entry!r}")
         name = entry.get("name")
-        if name not in expected:
+        if not isinstance(name, str) or name not in expected:
             raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
         if name in seen:
             raise CheckpointError(f"duplicate tensor {name!r} in checkpoint")
         if entry.get("dtype") != "f32":
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {entry.get('dtype')!r}")
-        shape = tuple(entry.get("shape", ()))
-        if shape != expected[name]:
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or tuple(shape) != expected[name]:
             raise CheckpointError(
                 f"tensor {name!r} has shape {shape}, expected {expected[name]}"
             )
+        shape = expected[name]  # ints, even where the manifest wrote 2.0
         if entry.get("byte_offset") != offset:
             raise CheckpointError(f"tensor {name!r} byte_offset {entry.get('byte_offset')} != {offset}")
         length = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -77,10 +78,7 @@ def _merge_section(base: dict, override: dict, path: str) -> None:
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path}.{key}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            _merge_section(base[key], value, f"{path}.{key}")
-        else:
-            base[key] = value
+        base[key] = value
 
 
 def load_run_config(config_path: str | None, sets: list[str], seed: int | None) -> dict:
@@ -106,21 +104,15 @@ def load_run_config(config_path: str | None, sets: list[str], seed: int | None) 
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         dotted, raw = pair.split("=", 1)
-        keys = dotted.split(".")
-        if len(keys) < 2:
+        section, _, key = dotted.partition(".")
+        if not key:
             raise ConfigError(f"--set key must be section.key, got {dotted!r}")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = cfg
-        for key in keys[:-1]:
-            if not isinstance(node, dict) or key not in node:
-                raise ConfigError(f"unknown config key {dotted!r}")
-            node = node[key]
-        if not isinstance(node, dict) or keys[-1] not in node:
+        if section not in cfg or key not in cfg[section]:
             raise ConfigError(f"unknown config key {dotted!r}")
-        node[keys[-1]] = value
+        try:
+            cfg[section][key] = json.loads(raw)
+        except json.JSONDecodeError:
+            cfg[section][key] = raw
     if seed is not None:
         cfg["train"]["seed"] = seed
     return cfg
@@ -132,18 +124,24 @@ def _model_config(cfg: dict, num_classes: int) -> ModelConfig:
 
 def _train_kwargs(cfg: dict) -> dict:
     """The embedding and vocabulary keyword arguments of `train()`."""
-    return {
-        "vectors_path": cfg["embeddings"]["vectors"],
-        "embeddings_trainable": bool(cfg["embeddings"]["trainable"]),
-        "embed_scale": float(cfg["embeddings"]["scale"]),
-        "min_freq": int(cfg["data"]["min_freq"]),
-        "max_vocab": cfg["data"]["max_vocab"],
-    }
+    emb, data = cfg["embeddings"], cfg["data"]
+    if not isinstance(emb["trainable"], bool):
+        raise ConfigError(f"embeddings.trainable must be true or false, got {emb['trainable']!r}")
+    try:
+        return {
+            "vectors_path": None if emb["vectors"] is None else os.fspath(emb["vectors"]),
+            "embeddings_trainable": emb["trainable"],
+            "embed_scale": float(emb["scale"]),
+            "min_freq": int(data["min_freq"]),
+            "max_vocab": None if data["max_vocab"] is None else int(data["max_vocab"]),
+        }
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid embeddings or data config: {exc}") from None
 
 
 def _require_dataset(cfg: dict) -> Path:
     dataset = cfg["data"]["dataset"]
-    if not dataset:
+    if not isinstance(dataset, str) or not dataset:
         raise ConfigError("data.dataset must point at a label,text CSV file")
     path = Path(dataset)
     if not path.exists():
@@ -204,7 +202,7 @@ def cmd_gradcheck(config_path: str | None, sets: list[str], seed: int | None) ->
     if model_config.dropout_rate != 0.0:
         model_config.dropout_rate = 0.0  # the check needs a deterministic loss
 
-    rng = Rng(cfg["train"]["seed"])
+    rng = Rng(TrainConfig.from_dict(cfg["train"]).seed)
     vocab_size = 10
     # The harness runs at O(1) activations: with the training-time 0.1-scale
     # init, some gate gradients drop below the 1e-8 floor where central

@@ -16,7 +16,7 @@ Each forward stage asserts its declared output shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -126,11 +126,24 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        return config_from_dict(cls, d, "model")
+
+
+def config_from_dict(cls, d: dict, section: str):
+    """Build config dataclass `cls` from `d`; every bad key or value raises ConfigError."""
+    unknown = set(d) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
+    for f in fields(cls):
+        # a float here would pass the range checks and fail deep inside training
+        if f.type == "int" and f.name in d and not isinstance(d[f.name], int):
+            raise ConfigError(f"{section}.{f.name} must be an integer, got {d[f.name]!r}")
+    try:
         return cls(**d)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {section} config: {exc}") from None
 
 
 @dataclass

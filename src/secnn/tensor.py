@@ -8,15 +8,16 @@ and returns a gradient for every ``requires_grad`` tensor in the loss
 ancestry.  :func:`finite_diff_grad` is the independent central-difference
 oracle used to verify the analytic gradients.
 
-Scope is deliberately narrow: no broadcasting beyond scalar-with-tensor,
-no views, 2-D matmul only.  Every operation checks its result for NaN/Inf
+Scope is deliberately narrow: only the ops the model and the gradient
+oracle use, no broadcasting (binary operands share one shape), no views,
+2-D matmul only.  Every operation checks its result for NaN/Inf
 and raises :class:`NumericError` so numerical blow-ups surface at the op
 that produced them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -26,8 +27,6 @@ __all__ = [
     "Rng",
     "ShapeError",
     "NumericError",
-    "add",
-    "sub",
     "mul",
     "relu",
     "sigmoid",
@@ -48,9 +47,6 @@ class NumericError(ArithmeticError):
     """An operation produced NaN or Inf values."""
 
 
-TensorLike = Union["Tensor", float, int, np.ndarray, Sequence]
-
-
 class Tensor:
     """A dense float64 array that can participate in gradient recording.
 
@@ -62,7 +58,7 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data: TensorLike, requires_grad: bool = False):
+    def __init__(self, data: np.typing.ArrayLike, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:  # 0-d arrays are always contiguous
             arr = np.ascontiguousarray(arr)
@@ -93,29 +89,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; the module-level functions carry the real logic.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 # --------------------------------------------------------------------------
@@ -180,15 +153,12 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, Tensor]:
         raise RuntimeError("GradTape already consumed by a previous backward pass")
     tape._consumed = True
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for out, inputs, backward_fn in reversed(tape._ops):
-        gout = grads.get(id(out))
+        gout = grads.get(out)
         if gout is None:
             continue
-        partials = backward_fn(gout)
-        for inp, gin in zip(inputs, partials):
+        for inp, gin in zip(inputs, backward_fn(gout)):
             if gin is None or not inp.requires_grad:
                 continue
             if gin.shape != inp.shape:
@@ -196,45 +166,16 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, Tensor]:
                     f"backward produced gradient of shape {gin.shape} "
                     f"for input of shape {inp.shape}"
                 )
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + gin
-            else:
-                grads[key] = gin
-                holders[key] = inp
+            grads[inp] = grads[inp] + gin if inp in grads else gin
 
-    return {
-        holders[key]: Tensor(g)
-        for key, g in grads.items()
-        if holders[key].requires_grad
-    }
+    return {t: Tensor(g) for t, g in grads.items() if t.requires_grad}
 
 
 # --------------------------------------------------------------------------
 # Helpers
 
-def _coerce(x: TensorLike) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 def _propagates(*tensors: Tensor) -> bool:
     return any(t.requires_grad for t in tensors)
-
-def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to an operand's shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-def _check_binary(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
-    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
@@ -248,44 +189,19 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Elementwise operations
 
-def add(a: TensorLike, b: TensorLike) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_binary("add", a, b)
-    out = Tensor(a.data + b.data, requires_grad=_propagates(a, b))
-
-    def bw(g):
-        return _sum_to(g, a.shape), _sum_to(g, b.shape)
-
-    record_op(out, (a, b), bw)
-    return out
-
-
-def sub(a: TensorLike, b: TensorLike) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_binary("sub", a, b)
-    out = Tensor(a.data - b.data, requires_grad=_propagates(a, b))
-
-    def bw(g):
-        return _sum_to(g, a.shape), _sum_to(-g, b.shape)
-
-    record_op(out, (a, b), bw)
-    return out
-
-
-def mul(a: TensorLike, b: TensorLike) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_binary("mul", a, b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data * b.data, requires_grad=_propagates(a, b))
 
     def bw(g):
-        return _sum_to(g * b.data, a.shape), _sum_to(g * a.data, b.shape)
+        return g * b.data, g * a.data
 
     record_op(out, (a, b), bw)
     return out
 
 
-def relu(a: TensorLike) -> Tensor:
-    a = _coerce(a)
+def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0), requires_grad=a.requires_grad)
 
     def bw(g):
@@ -295,8 +211,7 @@ def relu(a: TensorLike) -> Tensor:
     return out
 
 
-def sigmoid(a: TensorLike) -> Tensor:
-    a = _coerce(a)
+def sigmoid(a: Tensor) -> Tensor:
     y = _stable_sigmoid(a.data)
     out = Tensor(y, requires_grad=a.requires_grad)
 
@@ -310,8 +225,7 @@ def sigmoid(a: TensorLike) -> Tensor:
 # --------------------------------------------------------------------------
 # Matrix and movement operations
 
-def matmul(a: TensorLike, b: TensorLike) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -325,8 +239,7 @@ def matmul(a: TensorLike, b: TensorLike) -> Tensor:
     return out
 
 
-def transpose(a: TensorLike) -> Tensor:
-    a = _coerce(a)
+def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a 2-D tensor, got shape {a.shape}")
     out = Tensor(a.data.T, requires_grad=a.requires_grad)
@@ -338,8 +251,7 @@ def transpose(a: TensorLike) -> Tensor:
     return out
 
 
-def reshape(a: TensorLike, shape: tuple) -> Tensor:
-    a = _coerce(a)
+def reshape(a: Tensor, shape: tuple) -> Tensor:
     out = Tensor(a.data.reshape(shape), requires_grad=a.requires_grad)
 
     def bw(g):
@@ -371,63 +283,37 @@ def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
     return tuple(sorted(norm))
 
 
-def reduce(op: str, a: TensorLike, axes: Union[int, Iterable[int], None] = None) -> Tensor:
-    """Reduce over `axes` (None means all) with op in {mean, sum, max}.
+def reduce(op: str, a: Tensor, axes: Union[int, Iterable[int], None] = None) -> Tensor:
+    """Reduce over `axes` (None means all) with op in {mean, sum}.
 
-    The reduced axes are dropped from the output shape.  `max` routes its
-    gradient entirely to the first maximal element of each reduced block,
-    in row-major order over the reduced axes.
+    The reduced axes are dropped from the output shape.
     """
-    a = _coerce(a)
+    if op not in ("sum", "mean"):
+        raise ValueError(f"unknown reduce op {op!r}")
     axes = _normalize_axes(axes, a.ndim)
+    count = 1
+    for ax in axes:
+        count *= a.shape[ax]
+    if op == "mean":
+        # Shifted mean: averaging the residuals against a reference
+        # slice keeps the mean of a constant block exact.
+        ref_idx = tuple(0 if i in axes else slice(None) for i in range(a.ndim))
+        ref = a.data[ref_idx]
+        centered = a.data - np.expand_dims(ref, axes)
+        data = ref + centered.sum(axis=axes) / count
+    else:
+        data = a.data.sum(axis=axes)
+    out = Tensor(data, requires_grad=a.requires_grad)
 
-    if op == "sum" or op == "mean":
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
+    def bw(g):
+        expanded = np.expand_dims(g, axes)
+        full = np.broadcast_to(expanded, a.shape)
         if op == "mean":
-            # Shifted mean: averaging the residuals against a reference
-            # slice keeps the mean of a constant block exact.
-            ref_idx = tuple(0 if i in axes else slice(None) for i in range(a.ndim))
-            ref = a.data[ref_idx]
-            centered = a.data - np.expand_dims(ref, axes)
-            data = ref + centered.sum(axis=axes) / count
-        else:
-            data = a.data.sum(axis=axes)
-        out = Tensor(data, requires_grad=a.requires_grad)
+            full = full / count
+        return (np.ascontiguousarray(full),)
 
-        def bw(g):
-            expanded = np.expand_dims(g, axes)
-            full = np.broadcast_to(expanded, a.shape)
-            if op == "mean":
-                full = full / count
-            return (np.ascontiguousarray(full),)
-
-        record_op(out, (a,), bw)
-        return out
-
-    if op == "max":
-        kept = tuple(i for i in range(a.ndim) if i not in axes)
-        perm = kept + axes
-        moved = a.data.transpose(perm)
-        kept_shape = moved.shape[: len(kept)]
-        block = int(np.prod([a.shape[ax] for ax in axes], dtype=np.int64))
-        flat = moved.reshape(kept_shape + (block,))
-        argmax = np.argmax(flat, axis=-1)  # first maximum on ties
-        data = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-        out = Tensor(data, requires_grad=a.requires_grad)
-
-        def bw(g):
-            scattered = np.zeros(kept_shape + (block,), dtype=np.float64)
-            np.put_along_axis(scattered, argmax[..., None], g[..., None], axis=-1)
-            restored = scattered.reshape(moved.shape)
-            inv = np.argsort(perm)
-            return (np.ascontiguousarray(restored.transpose(inv)),)
-
-        record_op(out, (a,), bw)
-        return out
-
-    raise ValueError(f"unknown reduce op {op!r}")
+    record_op(out, (a,), bw)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -497,9 +383,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def choice(self, options, size=None, replace=True):
-        return self._gen.choice(options, size=size, replace=replace)
 
     def uniform_tensor(self, low: float, high: float, shape: tuple, requires_grad: bool = False) -> Tensor:
         return Tensor(self.uniform(low, high, shape), requires_grad=requires_grad)

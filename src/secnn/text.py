@@ -95,9 +95,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
 
-    def token_of(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
     def tokens(self) -> list[str]:
         """Real tokens only, in id order (ids 2..V-1)."""
         return self._id_to_token[2:]

@@ -22,7 +22,7 @@ from .text import (
     split_train_dev,
 )
 from .embeddings import EmbeddingMatrix, init_random, load_pretrained
-from .model import ConfigError, ModelConfig, ModelParams, forward, init_params
+from .model import ConfigError, ModelConfig, ModelParams, config_from_dict, forward, init_params
 from .checkpoint import save_checkpoint
 
 __all__ = [
@@ -73,11 +73,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
+        return config_from_dict(cls, d, "train")
 
 
 # --------------------------------------------------------------------------
@@ -211,13 +207,6 @@ class EvalResult:
     accuracy: float
     confusion: np.ndarray  # confusion[true, predicted]
     total: int
-
-    def per_class_counts(self) -> dict[int, tuple[int, int]]:
-        """class id -> (correct, total) over the true labels."""
-        return {
-            c: (int(self.confusion[c, c]), int(self.confusion[c].sum()))
-            for c in range(self.confusion.shape[0])
-        }
 
 
 # --------------------------------------------------------------------------

@@ -140,3 +140,25 @@ def test_rejects_missing_tensor_entry(tmp_path):
     (ck / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(CheckpointError):
         load_checkpoint(ck)
+
+
+def _non_object_entry(manifest):
+    manifest["tensors"][0] = "embedding"
+
+
+def _mixed_type_label_ids(manifest):
+    manifest["label_map"] = {"neg": 0, "pos": "1"}
+
+
+def _non_list_shape(manifest):
+    manifest["tensors"][0]["shape"] = 5
+
+
+@pytest.mark.parametrize("corrupt", [_non_object_entry, _mixed_type_label_ids, _non_list_shape])
+def test_rejects_malformed_manifest_schema(tmp_path, corrupt):
+    ck = make_small_checkpoint(tmp_path)
+    manifest = json.loads((ck / "manifest.json").read_text(encoding="utf-8"))
+    corrupt(manifest)
+    (ck / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(ck)

@@ -62,6 +62,10 @@ def test_load_run_config_rejects_unknown_keys(tmp_path):
         load_run_config(None, ["nosuch.key=1"], None)
     with pytest.raises(ConfigError):
         load_run_config(None, ["model.bogus=1"], None)
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_run_config(None, ["a.b.c=1"], None)
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load_run_config(None, ["model.n_max.x=1"], None)
 
 
 # --------------------------------------------------------------------------
@@ -107,6 +111,27 @@ def test_train_config_error_leaves_no_output(tmp_path, keyword_csv):
     out = tmp_path / "run"
     args = fast_train_args(keyword_csv, out) + ["--set", "model.pieces=0"]
     assert main(args) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [
+    'train.batch_size="x"',
+    'model.n_max="abc"',
+    'model.filter_sizes=["a"]',
+    'data.min_freq="x"',
+    'embeddings.scale="x"',
+    'data.max_vocab="x"',
+    "embeddings.vectors=5",
+    'embeddings.trainable="false"',
+    "train.batch_size=2.5",
+    "model.n_max=10.5",
+    "data.dataset=5",
+])
+def test_train_wrong_type_config_value_exits_1(tmp_path, keyword_csv, capsys, override):
+    out = tmp_path / "run"
+    assert main(fast_train_args(keyword_csv, out) + ["--set", override]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 
@@ -262,6 +287,11 @@ def test_gradcheck_corrupted_backward_exits_3(monkeypatch, capsys):
 
 def test_gradcheck_rejects_oversized_config():
     assert main(["gradcheck", "--set", "model.d=64", "--set", "model.n_max=64"]) == EXIT_CONFIG
+
+
+def test_gradcheck_wrong_type_seed_exits_1(capsys):
+    assert main(["gradcheck", "--set", 'train.seed="x"']) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # --------------------------------------------------------------------------

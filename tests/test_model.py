@@ -157,18 +157,22 @@ def test_conv_bank_matches_stacked_single_maps(conv_fn, seed):
         loss = tc.reduce("sum", tc.mul(block, weight))
     grads = backward(loss, tape)
 
-    e_ref = Tensor(e.data, requires_grad=True)
-    with GradTape() as tape:
-        maps = [conv_fn(e_ref, f) for f in singles]
-        terms = [tc.reduce("sum", tc.mul(fm, Tensor(weight.data[j]))) for j, fm in enumerate(maps)]
-        loss_ref = sum(terms[1:], terms[0])
-    ref_grads = backward(loss_ref, tape)
+    # one tape per single map; the input gradient is the sum over maps
+    maps, ref_e, ref_bank = [], np.zeros_like(e.data), []
+    for j, f in enumerate(singles):
+        e_ref = Tensor(e.data, requires_grad=True)
+        with GradTape() as tape:
+            fm = conv_fn(e_ref, f)
+            loss_ref = tc.reduce("sum", tc.mul(fm, Tensor(weight.data[j])))
+        ref_grads = backward(loss_ref, tape)
+        maps.append(fm)
+        ref_e += ref_grads[e_ref].data
+        ref_bank.append(ref_grads[f].data)
 
     assert block.shape == (m,) + maps[0].shape
     assert np.max(np.abs(block.data - np.stack([fm.data for fm in maps]))) <= 1e-12
-    assert np.max(np.abs(grads[e].data - ref_grads[e_ref].data)) <= 1e-12
-    ref_bank = np.stack([ref_grads[f].data for f in singles])
-    assert np.max(np.abs(grads[bank].data - ref_bank)) <= 1e-12
+    assert np.max(np.abs(grads[e].data - ref_e)) <= 1e-12
+    assert np.max(np.abs(grads[bank].data - np.stack(ref_bank))) <= 1e-12
 
 
 # --------------------------------------------------------------------------
