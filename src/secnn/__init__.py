@@ -12,7 +12,6 @@ from .tensor import (
     Tensor,
     backward,
     finite_diff_grad,
-    matmul,
     reduce,
 )
 from .text import (

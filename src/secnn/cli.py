@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
-from .model import ConfigError, ModelConfig, init_params
+from .model import ConfigError, ModelConfig, init_params, require_int
 from .embeddings import init_random
 from .tensor import NumericError, Rng
 from .text import DataError, EncodedBatch, load_dataset
@@ -132,8 +132,8 @@ def _train_kwargs(cfg: dict) -> dict:
             "vectors_path": None if emb["vectors"] is None else os.fspath(emb["vectors"]),
             "embeddings_trainable": emb["trainable"],
             "embed_scale": float(emb["scale"]),
-            "min_freq": int(data["min_freq"]),
-            "max_vocab": None if data["max_vocab"] is None else int(data["max_vocab"]),
+            "min_freq": require_int(data["min_freq"], "data.min_freq"),
+            "max_vocab": None if data["max_vocab"] is None else require_int(data["max_vocab"], "data.max_vocab"),
         }
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid embeddings or data config: {exc}") from None

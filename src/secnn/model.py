@@ -5,8 +5,8 @@ excitation gate, summed, piecewise max-pooled, and classified.
 Shape chain for a batch of B sentences of length n with embedding dim d,
 m maps per branch, M total feature maps and p pooling pieces:
 
-    (B, n, d) --conv--> (m, B, H, d) per branch  H = n-k+1 valid, n same
-              --stack-> (B, H, W, M)             W = d
+    (B, n, d) --conv--> (B, H, d, m) per branch  H = n-k+1 valid, n same
+              --stack-> (B, H, W, M)             W = d, branches concatenated
               --squeeze-> (B, M) --excite-> (B, M) in (0, 1)
               --scale--> (B, H, W, M) --sum--> (B, H, W)
               --pool---> (B, p, W) --flatten-> (B, p*W) --dense-> (B, C)
@@ -72,7 +72,9 @@ class ModelConfig:
     conv_activation: str = "identity"
 
     def __post_init__(self):
-        self.filter_sizes = [int(k) for k in self.filter_sizes]
+        if any(isinstance(k, bool) or not isinstance(k, int) for k in self.filter_sizes):
+            raise ConfigError(f"filter_sizes must hold integers, got {self.filter_sizes!r}")
+        self.filter_sizes = list(self.filter_sizes)
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if self.d < 1:
@@ -136,14 +138,21 @@ def config_from_dict(cls, d: dict, section: str):
         raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
     for f in fields(cls):
         # a float here would pass the range checks and fail deep inside training
-        if f.type == "int" and f.name in d and not isinstance(d[f.name], int):
-            raise ConfigError(f"{section}.{f.name} must be an integer, got {d[f.name]!r}")
+        if f.type == "int" and f.name in d:
+            require_int(d[f.name], f"{section}.{f.name}")
     try:
         return cls(**d)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {section} config: {exc}") from None
+
+
+def require_int(value, name: str) -> int:
+    """`value` unchanged if it is an int; a bool, float or string raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -210,12 +219,13 @@ def init_params(config: ModelConfig, rng: Rng, embedding: EmbeddingMatrix) -> Mo
 # Convolution
 
 def conv1d_valid(e: Tensor, filt: Tensor, activation: str = "identity") -> Tensor:
-    """Depthwise valid convolution: out[..., b, j, l] = sum_i filt[..., i, l] * e[b, j+i, l].
+    """Depthwise valid convolution: out[b, j, l, ...] = sum_i filt[..., i, l] * e[b, j+i, l].
 
     The sum runs over the k window positions only, so the output keeps the
     embedding width d and shrinks the length to n-k+1.  Leading filter axes
-    index maps: a (k, d) filter gives one (B, H, d) map, a branch's
-    (m, k, d) bank gives the (m, B, H, d) block of its maps.
+    index maps and become trailing output axes: a (k, d) filter gives one
+    (B, H, d) map, a branch's (m, k, d) bank gives the (B, H, d, m) block
+    of its maps, already in the channel-last layout of the stack.
     """
     if e.ndim != 3 or filt.ndim < 2:
         raise ShapeError(f"conv1d expects (B,n,d) and (...,k,d), got {e.shape} and {filt.shape}")
@@ -227,18 +237,22 @@ def conv1d_valid(e: Tensor, filt: Tensor, activation: str = "identity") -> Tenso
         raise ShapeError(f"filter length {k} exceeds sequence length {n}")
     height = n - k + 1
     bank = filt.data.reshape(-1, k, d)
-    out_shape = filt.shape[:-2] + (batch, height, d)
+    maps = bank.shape[0]
 
+    # One batched matmul over d: (B*H, k) windows times (k, m) filters per column.
     windows = sliding_window_view(e.data, k, axis=1)  # (B, H, d, k), no copy
-    data = np.einsum("mkd,bhdk->mbhd", bank, windows)
-    out = Tensor(data.reshape(out_shape), requires_grad=tc._propagates(e, filt))
+    columns = windows.transpose(2, 0, 1, 3).reshape(d, batch * height, k)
+    data = np.empty((batch, height, d, maps))
+    np.matmul(columns, bank.transpose(2, 1, 0), out=data.reshape(batch * height, d, maps).transpose(1, 0, 2))
+    out = Tensor(data.reshape((batch, height, d) + filt.shape[:-2]), requires_grad=tc._propagates(e, filt))
 
     def bw(g):
-        g = g.reshape(bank.shape[0], batch, height, d)
+        g = g.reshape(batch, height, d, maps)
+        g_windows = np.einsum("bhdm,mkd->bhdk", g, bank, optimize=True)
         de = np.zeros_like(e.data)
         for i in range(k):
-            de[:, i : i + height, :] += np.einsum("md,mbhd->bhd", bank[:, i], g)
-        dfilt = np.einsum("bhdk,mbhd->mkd", windows, g)
+            de[:, i : i + height, :] += g_windows[..., i]
+        dfilt = np.einsum("bhdk,bhdm->mkd", windows, g, optimize=True)
         return de, dfilt.reshape(filt.shape)
 
     record_op(out, (e, filt), bw)
@@ -288,28 +302,27 @@ def _pad_length(e: Tensor, left: int, right: int) -> Tensor:
 def stack_channels(maps: list[Tensor]) -> Tensor:
     """Stack feature maps into (B, H, W, M) channels, in list order.
 
-    Each entry is one (B, H, W) map or a (..., B, H, W) block of maps whose
-    leading axes enumerate channels in row-major order; all entries share
+    Each entry is one (B, H, W) map or a (B, H, W, ...) block of maps whose
+    trailing axes enumerate channels in row-major order; all entries share
     (B, H, W).
     """
     if not maps:
         raise ShapeError("stack_channels requires at least one feature map")
-    shape = maps[0].shape[-3:]
+    shape = maps[0].shape[:3]
     for i, m in enumerate(maps):
-        if m.ndim < 3 or m.shape[-3:] != shape:
+        if m.ndim < 3 or m.shape[:3] != shape:
             raise ShapeError(
-                f"feature map {i} has shape {m.shape}, expected (..., *{shape}); "
+                f"feature map {i} has shape {m.shape}, expected (*{shape}, ...); "
                 "all stacked channels must agree"
             )
-    blocks = [m.data.reshape((-1,) + shape) for m in maps]
-    data = np.concatenate([np.moveaxis(blk, 0, -1) for blk in blocks], axis=-1)
+    blocks = [m.data.reshape(shape + (-1,)) for m in maps]
+    data = np.concatenate(blocks, axis=-1)
     out = Tensor(data, requires_grad=any(m.requires_grad for m in maps))
-    starts = np.cumsum([blk.shape[0] for blk in blocks])[:-1]
+    starts = np.cumsum([blk.shape[-1] for blk in blocks])[:-1]
 
     def bw(g):
         return tuple(
-            np.ascontiguousarray(np.moveaxis(part, -1, 0)).reshape(m.shape)
-            for m, part in zip(maps, np.split(g, starts, axis=-1))
+            part.reshape(m.shape) for m, part in zip(maps, np.split(g, starts, axis=-1))
         )
 
     record_op(out, tuple(maps), bw)
@@ -334,8 +347,7 @@ def se_excite(squeezed: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
         raise ShapeError(
             f"gate weights {w1.shape} / {w2.shape} do not match {channels} channels"
         )
-    hidden = tc.relu(tc.matmul(squeezed, tc.transpose(w1)))
-    return tc.sigmoid(tc.matmul(hidden, tc.transpose(w2)))
+    return tc.sigmoid(tc.linear(tc.relu(tc.linear(squeezed, w1)), w2))
 
 
 def se_scale(stacked: Tensor, gates: Tensor) -> Tensor:
@@ -351,7 +363,7 @@ def se_scale(stacked: Tensor, gates: Tensor) -> Tensor:
 
     def bw(g):
         d_stacked = g * expanded
-        d_gates = (g * stacked.data).sum(axis=(1, 2))
+        d_gates = np.einsum("bhwm,bhwm->bm", g, stacked.data)
         return d_stacked, d_gates
 
     record_op(out, (stacked, gates), bw)
@@ -487,9 +499,9 @@ def forward(
     blocks = []
     for branch, bank in enumerate(params.filters):
         block = conv(embedded, bank, activation=config.conv_activation)
-        blocks.append(_expect(block, (m, b, height, width), f"feature_maps.{branch}", None))
+        blocks.append(_expect(block, (b, height, width, m), f"feature_maps.{branch}", None))
         if trace is not None:
-            trace.update({f"feature_map.{branch}.{j}": block.shape[1:] for j in range(m)})
+            trace.update({f"feature_map.{branch}.{j}": block.shape[:-1] for j in range(m)})
 
     stacked = _expect(stack_channels(blocks), (b, height, width, channels), "stacked", trace)
     squeezed = _expect(se_squeeze(stacked), (b, channels), "squeezed", trace)

@@ -9,10 +9,10 @@ ancestry.  :func:`finite_diff_grad` is the independent central-difference
 oracle used to verify the analytic gradients.
 
 Scope is deliberately narrow: only the ops the model and the gradient
-oracle use, no broadcasting (binary operands share one shape), no views,
-2-D matmul only.  Every operation checks its result for NaN/Inf
-and raises :class:`NumericError` so numerical blow-ups surface at the op
-that produced them.
+oracle use, no broadcasting (binary operands share one shape), no views, and
+one 2-D product, the bias-free ``linear`` layer.  Every operation checks
+its result for NaN/Inf and raises :class:`NumericError` so numerical
+blow-ups surface at the op that produced them.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ __all__ = [
     "mul",
     "relu",
     "sigmoid",
-    "matmul",
-    "transpose",
+    "linear",
     "reshape",
     "reduce",
     "backward",
@@ -225,29 +224,18 @@ def sigmoid(a: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 # Matrix and movement operations
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=_propagates(a, b))
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """Bias-free layer x @ w.T: a (B, in) batch times (out, in) weights."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"linear expects 2-D operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}.T")
+    out = Tensor(x.data @ w.data.T, requires_grad=_propagates(x, w))
 
     def bw(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ w.data, g.T @ x.data
 
-    record_op(out, (a, b), bw)
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got shape {a.shape}")
-    out = Tensor(a.data.T, requires_grad=a.requires_grad)
-
-    def bw(g):
-        return (np.ascontiguousarray(g.T),)
-
-    record_op(out, (a,), bw)
+    record_op(out, (x, w), bw)
     return out
 
 

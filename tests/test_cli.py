@@ -126,6 +126,9 @@ def test_train_config_error_leaves_no_output(tmp_path, keyword_csv):
     "train.batch_size=2.5",
     "model.n_max=10.5",
     "data.dataset=5",
+    "model.filter_sizes=[3.7,3.2,3.9]",  # int() would train [3, 3, 3]
+    "data.min_freq=1.9",  # int() would train min_freq 1
+    "train.patience=true",  # a bool is an int
 ])
 def test_train_wrong_type_config_value_exits_1(tmp_path, keyword_csv, capsys, override):
     out = tmp_path / "run"

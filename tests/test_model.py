@@ -163,16 +163,62 @@ def test_conv_bank_matches_stacked_single_maps(conv_fn, seed):
         e_ref = Tensor(e.data, requires_grad=True)
         with GradTape() as tape:
             fm = conv_fn(e_ref, f)
-            loss_ref = tc.reduce("sum", tc.mul(fm, Tensor(weight.data[j])))
+            loss_ref = tc.reduce("sum", tc.mul(fm, Tensor(weight.data[..., j])))
         ref_grads = backward(loss_ref, tape)
         maps.append(fm)
         ref_e += ref_grads[e_ref].data
         ref_bank.append(ref_grads[f].data)
 
-    assert block.shape == (m,) + maps[0].shape
-    assert np.max(np.abs(block.data - np.stack([fm.data for fm in maps]))) <= 1e-12
+    assert block.shape == maps[0].shape + (m,)
+    assert np.max(np.abs(block.data - np.stack([fm.data for fm in maps], axis=-1))) <= 1e-12
     assert np.max(np.abs(grads[e].data - ref_e)) <= 1e-12
     assert np.max(np.abs(grads[bank].data - np.stack(ref_bank))) <= 1e-12
+
+
+def conv_bank_ref(e: np.ndarray, bank: np.ndarray, same: bool) -> np.ndarray:
+    """(B, H, d, m) block of an (m, k, d) bank, one plain-loop map at a time."""
+    ref = conv_same_ref if same else conv_valid_ref
+    return np.stack([ref(e, f) for f in bank], axis=-1)
+
+
+BANK_EDGE_CASES = [  # (B, n, d, m, k, same)
+    (1, 5, 3, 4, 2, False),
+    (3, 6, 1, 2, 3, False),
+    (2, 4, 3, 1, 2, True),
+    (2, 5, 2, 3, 5, False),  # k = n: a single output row
+    (2, 3, 2, 3, 5, True),  # k = n + 2: more padding than input
+    (1, 1, 1, 1, 1, False),
+]
+
+
+@pytest.mark.parametrize("case", range(len(BANK_EDGE_CASES) + 6))
+def test_conv_bank_matches_plain_loop_reference(case):
+    rng = Rng(700 + case)
+    if case < len(BANK_EDGE_CASES):
+        batch, n, d, m, k, same = BANK_EDGE_CASES[case]
+    else:
+        same = bool(case % 2)
+        batch, n, d, m = (int(rng.integers(1, 4)), int(rng.integers(1, 7)),
+                          int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+        k = int(rng.integers(1, n + 3 if same else n + 1))
+    conv_fn = conv1d_same if same else conv1d_valid
+    e = Tensor(rng.uniform(-2, 2, (batch, n, d)), requires_grad=True)
+    bank = Tensor(rng.uniform(-2, 2, (m, k, d)), requires_grad=True)
+    expected = conv_bank_ref(e.data, bank.data, same)
+    weight = Tensor(rng.uniform(-1, 1, expected.shape))
+
+    def loss_of(et, bt):
+        return tc.reduce("sum", tc.mul(conv_fn(et, bt), weight))
+
+    assert conv_fn(e, bank).shape == expected.shape
+    assert np.max(np.abs(conv_fn(e, bank).data - expected)) <= 1e-12
+    with GradTape() as tape:
+        loss = loss_of(e, bank)
+    grads = backward(loss, tape)
+    fd_e = finite_diff_grad(lambda x: loss_of(x, bank).item(), e)
+    fd_bank = finite_diff_grad(lambda x: loss_of(e, x).item(), bank)
+    assert rel_err(grads[e].data, fd_e.data) < 1e-6
+    assert rel_err(grads[bank].data, fd_bank.data) < 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -207,14 +253,14 @@ def test_stack_blocks_match_maps_listed_one_by_one():
     rng = Rng(8)
     shape = (2, 3, 4)
     blocks = [
-        Tensor(rng.uniform(-1, 1, (3,) + shape), requires_grad=True),
+        Tensor(rng.uniform(-1, 1, shape + (3,)), requires_grad=True),
         Tensor(rng.uniform(-1, 1, shape), requires_grad=True),
-        Tensor(rng.uniform(-1, 1, (2, 2) + shape), requires_grad=True),
+        Tensor(rng.uniform(-1, 1, shape + (2, 2)), requires_grad=True),
     ]
     singles = [
-        Tensor(fm.copy(), requires_grad=True)
+        Tensor(np.ascontiguousarray(fm), requires_grad=True)
         for blk in blocks
-        for fm in blk.data.reshape((-1,) + shape)
+        for fm in np.moveaxis(blk.data.reshape(shape + (-1,)), -1, 0)
     ]
     weight = Tensor(rng.uniform(-1, 1, shape + (len(singles),)))
 
@@ -228,8 +274,9 @@ def test_stack_blocks_match_maps_listed_one_by_one():
 
     (by_block, block_grads), (by_map, map_grads) = results
     assert np.array_equal(by_block, by_map)
-    flat = np.concatenate([g.reshape((-1,) + shape) for g in block_grads])
-    assert np.array_equal(flat, np.stack(map_grads))
+    assert [g.shape for g in block_grads] == [b.shape for b in blocks]
+    flat = np.concatenate([g.reshape(shape + (-1,)) for g in block_grads], axis=-1)
+    assert np.array_equal(flat, np.stack(map_grads, axis=-1))
 
 
 # --------------------------------------------------------------------------

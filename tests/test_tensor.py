@@ -1,5 +1,5 @@
-"""Tensor core: elementwise ops, matmul, reductions, the tape, and the
-finite-difference oracle."""
+"""Tensor core: elementwise ops, the linear layer, reductions, the tape,
+and the finite-difference oracle."""
 
 import numpy as np
 import pytest
@@ -57,45 +57,36 @@ def test_nan_rejected():
 
 
 # --------------------------------------------------------------------------
-# Matmul
+# Linear
 
-def test_matmul_identity():
+def test_linear_identity():
     eye = Tensor(np.eye(2))
     m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert tc.matmul(eye, m).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert tc.linear(m, eye).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
-def test_matmul_dot_product():
-    assert tc.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]])).tolist() == [[11.0]]
+def test_linear_dot_product():
+    assert tc.linear(Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])).tolist() == [[11.0]]
 
 
-def test_matmul_matches_triple_loop_oracle():
+def test_linear_matches_triple_loop_oracle():
     rng = Rng(9)
-    a = rng.uniform(-2, 2, (3, 4))
-    b = rng.uniform(-2, 2, (4, 2))
+    x = rng.uniform(-2, 2, (3, 4))
+    w = rng.uniform(-2, 2, (2, 4))
     expected = np.zeros((3, 2))
     for i in range(3):
         for j in range(2):
             for k in range(4):
-                expected[i, j] += a[i, k] * b[k, j]
-    got = tc.matmul(Tensor(a), Tensor(b)).data
+                expected[i, j] += x[i, k] * w[j, k]
+    got = tc.linear(Tensor(x), Tensor(w)).data
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
-def test_matmul_inner_dim_mismatch():
+def test_linear_inner_dim_mismatch():
     with pytest.raises(ShapeError):
-        tc.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
-
-def test_matmul_associativity():
-    for seed in range(5):
-        rng = Rng(seed)
-        a = Tensor(rng.uniform(-1, 1, (3, 4)))
-        b = Tensor(rng.uniform(-1, 1, (4, 5)))
-        c = Tensor(rng.uniform(-1, 1, (5, 2)))
-        left = tc.matmul(tc.matmul(a, b), c).data
-        right = tc.matmul(a, tc.matmul(b, c)).data
-        assert np.max(np.abs(left - right)) < 1e-9
+        tc.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+    with pytest.raises(ShapeError):
+        tc.linear(Tensor(np.ones(3)), Tensor(np.ones((2, 3))))
 
 
 # --------------------------------------------------------------------------
@@ -186,11 +177,11 @@ def test_tensor_outside_ancestry_gets_no_gradient():
 def test_composite_graph_matches_finite_differences(seed):
     rng = Rng(seed)
     a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-    w = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
 
     def graph(at, wt, bt):
-        return tc.reduce("sum", tc.mul(tc.sigmoid(tc.matmul(at, wt)), tc.relu(bt)))
+        return tc.reduce("sum", tc.mul(tc.sigmoid(tc.linear(at, wt)), tc.relu(bt)))
 
     with GradTape() as tape:
         loss = graph(a, w, b)
@@ -214,7 +205,7 @@ def test_every_op_matches_finite_differences(seed):
         "relu": lambda t: tc.reduce("sum", tc.mul(tc.relu(t), tc.relu(t))),
         "sigmoid": lambda t: tc.reduce("sum", tc.sigmoid(t)),
         "mean": lambda t: tc.reduce("mean", t),
-        "transpose": lambda t: tc.reduce("sum", tc.sigmoid(tc.transpose(t))),
+        "linear": lambda t: tc.reduce("sum", tc.sigmoid(tc.linear(t, t))),  # both operands
         "reshape": lambda t: tc.reduce("sum", tc.sigmoid(tc.reshape(t, (3, 2)))),
     }
     for name, f in cases.items():
