@@ -210,8 +210,9 @@ def test_conv_bank_matches_plain_loop_reference(case):
     def loss_of(et, bt):
         return tc.reduce("sum", tc.mul(conv_fn(et, bt), weight))
 
-    assert conv_fn(e, bank).shape == expected.shape
-    assert np.max(np.abs(conv_fn(e, bank).data - expected)) <= 1e-12
+    block = conv_fn(e, bank)
+    assert block.shape == expected.shape
+    assert np.max(np.abs(block.data - expected)) <= 1e-12
     with GradTape() as tape:
         loss = loss_of(e, bank)
     grads = backward(loss, tape)
