@@ -287,7 +287,7 @@ def _pad_length(e: Tensor, left: int, right: int) -> Tensor:
     batch, n, d = e.shape
     data = np.zeros((batch, n + left + right, d))
     data[:, left : left + n, :] = e.data
-    out = Tensor(data, requires_grad=e.requires_grad)
+    out = Tensor._wrap(data, requires_grad=e.requires_grad)
 
     def bw(g):
         return (np.ascontiguousarray(g[:, left : left + n, :]),)
@@ -317,7 +317,7 @@ def stack_channels(maps: list[Tensor]) -> Tensor:
             )
     blocks = [m.data.reshape(shape + (-1,)) for m in maps]
     data = np.concatenate(blocks, axis=-1)
-    out = Tensor(data, requires_grad=any(m.requires_grad for m in maps))
+    out = Tensor._wrap(data, requires_grad=any(m.requires_grad for m in maps))
     starts = np.cumsum([blk.shape[-1] for blk in blocks])[:-1]
 
     def bw(g):
@@ -412,7 +412,7 @@ def piecewise_maxpool(summed: Tensor, pieces: int) -> Tensor:
         idx = np.argmax(seg, axis=1)
         argmaxes.append(idx)
         values[:, s, :] = np.take_along_axis(seg, idx[:, None, :], axis=1)[:, 0, :]
-    out = Tensor(values, requires_grad=summed.requires_grad)
+    out = Tensor._wrap(values, requires_grad=summed.requires_grad)
 
     def bw(g):
         full = np.zeros_like(summed.data)

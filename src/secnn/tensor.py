@@ -1,7 +1,8 @@
 """Dense float64 tensors with taped reverse-mode gradients.
 
 Everything array-valued in this package is a :class:`Tensor`: a contiguous
-row-major float64 numpy buffer plus a ``requires_grad`` flag.  Operations
+row-major float64 numpy buffer plus a ``requires_grad`` flag (the gradients
+:func:`backward` returns are the one exception; see there).  Operations
 executed while a :class:`GradTape` is active are recorded on the tape in
 execution order; :func:`backward` replays the tape in exact reverse order
 and returns a gradient for every ``requires_grad`` tensor in the loss
@@ -9,10 +10,13 @@ ancestry.  :func:`finite_diff_grad` is the independent central-difference
 oracle used to verify the analytic gradients.
 
 Scope is deliberately narrow: only the ops the model and the gradient
-oracle use, no broadcasting (binary operands share one shape), no views, and
-one 2-D product, the bias-free ``linear`` layer.  Every operation checks
-its result for NaN/Inf and raises :class:`NumericError` so numerical
-blow-ups surface at the op that produced them.
+oracle use, no broadcasting, and one 2-D product, the bias-free ``linear``
+layer.  Every operation that can create a NaN or Inf checks its result and
+raises :class:`NumericError`, so numerical blow-ups surface at the op that
+produced them.  Ops whose outputs only copy, select or zero values of their
+already-checked inputs skip that full-size scan: ``reshape`` and ``relu``
+here, and ``stack_channels``, the same-padding pad and ``piecewise_maxpool``
+in the model.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ __all__ = [
     "Rng",
     "ShapeError",
     "NumericError",
-    "mul",
     "relu",
     "sigmoid",
     "linear",
@@ -61,10 +64,22 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:  # 0-d arrays are always contiguous
             arr = np.ascontiguousarray(arr)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor contains NaN or Inf values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray, requires_grad: bool = False) -> "Tensor":
+        """`arr` itself as a Tensor: no conversion, copy or finite scan.
+
+        For float64 arrays that need no check: copies or selections of
+        checked tensors' values, and the gradients `backward` returns.
+        """
+        t = cls.__new__(cls)
+        t.data = arr
+        t.requires_grad = requires_grad
+        return t
 
     @property
     def shape(self) -> tuple:
@@ -145,6 +160,12 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, Tensor]:
     The map holds one entry per requires_grad tensor reachable from the
     loss; tensors outside the ancestry are absent.  Gradients accumulate
     additively when a tensor feeds multiple consumers.
+
+    The gradients are returned as the backward functions made them: they may
+    be read-only broadcast views or strided views of a larger array, and
+    they are not scanned for NaN/Inf.  `training.adam_step` scans every
+    parameter gradient before it writes anything, so a non-finite gradient
+    surfaces there as a `NumericError` naming the parameter.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -167,7 +188,7 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, Tensor]:
                 )
             grads[inp] = grads[inp] + gin if inp in grads else gin
 
-    return {t: Tensor(g) for t, g in grads.items() if t.requires_grad}
+    return {t: Tensor._wrap(g) for t, g in grads.items() if t.requires_grad}
 
 
 # --------------------------------------------------------------------------
@@ -188,20 +209,8 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Elementwise operations
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data, requires_grad=_propagates(a, b))
-
-    def bw(g):
-        return g * b.data, g * a.data
-
-    record_op(out, (a, b), bw)
-    return out
-
-
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), requires_grad=a.requires_grad)
+    out = Tensor._wrap(np.maximum(a.data, 0.0), requires_grad=a.requires_grad)
 
     def bw(g):
         return (g * (a.data > 0.0),)
@@ -240,7 +249,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    out = Tensor(a.data.reshape(shape), requires_grad=a.requires_grad)
+    out = Tensor._wrap(a.data.reshape(shape), requires_grad=a.requires_grad)
 
     def bw(g):
         return (g.reshape(a.shape),)
@@ -295,10 +304,9 @@ def reduce(op: str, a: Tensor, axes: Union[int, Iterable[int], None] = None) -> 
 
     def bw(g):
         expanded = np.expand_dims(g, axes)
-        full = np.broadcast_to(expanded, a.shape)
         if op == "mean":
-            full = full / count
-        return (np.ascontiguousarray(full),)
+            expanded = expanded / count
+        return (np.broadcast_to(expanded, a.shape),)
 
     record_op(out, (a,), bw)
     return out

@@ -119,11 +119,16 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """Adam moments per trainable parameter name, plus the step counter."""
+    """Adam moments per trainable parameter name, plus the step counter.
+
+    `scratch` holds two work buffers per parameter, made on its first
+    update, so that a step allocates no parameter-sized temporaries.
+    """
 
     first: dict[str, np.ndarray]
     second: dict[str, np.ndarray]
     step: int = 0
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
@@ -138,25 +143,49 @@ def adam_step(
     state: OptimizerState,
     lr: float,
 ) -> None:
-    """One bias-corrected Adam update, in place; frozen tensors untouched."""
+    """One bias-corrected Adam update, in place; frozen tensors untouched.
+
+    Every gradient is checked before anything is written: a missing one
+    raises ValueError and one holding NaN or Inf raises NumericError, both
+    naming the parameter, and the moments, parameters and step count are
+    left as they were.  (`backward` does not scan the gradients it returns.)
+    """
+    trainable = params.trainable_tensors()
+    for name, param in trainable:
+        grad = grads.get(param)
+        if grad is None:
+            raise ValueError(f"missing gradient for trainable parameter {name!r}")
+        if not np.isfinite(grad.data).all():
+            raise NumericError(f"gradient of parameter {name!r} contains NaN or Inf values")
     state.step += 1
     t = state.step
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
-    for name, param in params.trainable_tensors():
-        grad = grads.get(param)
-        if grad is None:
-            raise ValueError(f"missing gradient for trainable parameter {name!r}")
-        g = grad.data
+    for name, param in trainable:
+        g = grads[param].data
         m = state.first[name]
         v = state.second[name]
+        if name not in state.scratch:
+            state.scratch[name] = (np.empty_like(m), np.empty_like(m))
+        update, denom = state.scratch[name]
+        # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        # lr*(m/bias1) / (sqrt(v/bias2) + eps), one operation at a time in
+        # that order, so the bits equal the textbook out-of-place update
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        np.multiply(1.0 - ADAM_BETA1, g, out=update)
+        m += update
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        update = lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-        new_value = param.data - update
-        if not np.all(np.isfinite(new_value)):
+        np.multiply(1.0 - ADAM_BETA2, g, out=update)
+        update *= g
+        v += update
+        np.divide(m, bias1, out=update)
+        np.multiply(lr, update, out=update)
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update /= denom
+        new_value = np.subtract(param.data, update, out=update)
+        if not np.isfinite(new_value).all():
             raise NumericError(f"parameter {name!r} became non-finite during the update")
         param.data[...] = new_value
 

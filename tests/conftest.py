@@ -1,4 +1,5 @@
-"""Shared fixtures: the synthetic keyword dataset and CSV helpers."""
+"""Shared fixtures: the synthetic keyword dataset, CSV helpers and the
+weighted-sum probe loss."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import secnn.tensor as tc
 from secnn import LabeledExample, Rng
+from secnn.tensor import Tensor
 
 
 def make_keyword_dataset(
@@ -39,6 +42,11 @@ def write_dataset_csv(path: Path, examples: list[LabeledExample], label_names: l
         for ex in examples:
             writer.writerow([label_names[ex.label], ex.text])
     return path
+
+
+def weighted_sum(x: Tensor, w: Tensor) -> Tensor:
+    """sum(x * w) as a (1, 1) tensor, through reshape and linear."""
+    return tc.linear(tc.reshape(x, (1, -1)), tc.reshape(w, (1, -1)))
 
 
 @pytest.fixture

@@ -28,6 +28,8 @@ from secnn.tensor import ShapeError, Tensor
 from secnn.text import EncodedBatch
 from secnn.training import cross_entropy_loss
 
+from conftest import weighted_sum
+
 
 def rel_err(a, b):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
@@ -127,7 +129,7 @@ def test_conv_gradients_match_finite_differences():
     f = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
 
     def head(conv_fn, et, ft):
-        return tc.reduce("sum", tc.mul(conv_fn(et, ft), conv_fn(et, ft)))
+        return weighted_sum(conv_fn(et, ft), conv_fn(et, ft))
 
     for conv_fn in (conv1d_valid, conv1d_same):
         with GradTape() as tape:
@@ -154,7 +156,7 @@ def test_conv_bank_matches_stacked_single_maps(conv_fn, seed):
     with GradTape() as tape:
         block = conv_fn(e, bank)
         weight = Tensor(rng.uniform(-1, 1, block.shape))
-        loss = tc.reduce("sum", tc.mul(block, weight))
+        loss = weighted_sum(block, weight)
     grads = backward(loss, tape)
 
     # one tape per single map; the input gradient is the sum over maps
@@ -163,7 +165,7 @@ def test_conv_bank_matches_stacked_single_maps(conv_fn, seed):
         e_ref = Tensor(e.data, requires_grad=True)
         with GradTape() as tape:
             fm = conv_fn(e_ref, f)
-            loss_ref = tc.reduce("sum", tc.mul(fm, Tensor(weight.data[..., j])))
+            loss_ref = weighted_sum(fm, Tensor(weight.data[..., j]))
         ref_grads = backward(loss_ref, tape)
         maps.append(fm)
         ref_e += ref_grads[e_ref].data
@@ -208,7 +210,7 @@ def test_conv_bank_matches_plain_loop_reference(case):
     weight = Tensor(rng.uniform(-1, 1, expected.shape))
 
     def loss_of(et, bt):
-        return tc.reduce("sum", tc.mul(conv_fn(et, bt), weight))
+        return weighted_sum(conv_fn(et, bt), weight)
 
     block = conv_fn(e, bank)
     assert block.shape == expected.shape
@@ -269,7 +271,7 @@ def test_stack_blocks_match_maps_listed_one_by_one():
     for entries in (blocks, singles):
         with GradTape() as tape:
             stacked = stack_channels(entries)
-            loss = tc.reduce("sum", tc.mul(stacked, weight))
+            loss = weighted_sum(stacked, weight)
         grads = backward(loss, tape)
         results.append((stacked.data, [grads[t].data for t in entries]))
 
@@ -484,7 +486,7 @@ def test_piecewise_maxpool_gradient_matches_fd():
     x = Tensor(rng.uniform(-1, 1, (2, 7, 3)), requires_grad=True)
 
     def head(t):
-        return tc.reduce("sum", tc.mul(piecewise_maxpool(t, 3), piecewise_maxpool(t, 3)))
+        return weighted_sum(piecewise_maxpool(t, 3), piecewise_maxpool(t, 3))
 
     with GradTape() as tape:
         loss = head(x)

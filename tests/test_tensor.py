@@ -15,6 +15,8 @@ from secnn.tensor import (
     finite_diff_grad,
 )
 
+from conftest import weighted_sum
+
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
@@ -32,16 +34,12 @@ def test_relu_definition():
     assert tc.relu(Tensor([-1.0, 2.0])).tolist() == [0.0, 2.0]
 
 
-def test_mul_elementwise():
-    assert tc.mul(Tensor([5.0, 1.0]), Tensor([2.0, 3.0])).tolist() == [10.0, 3.0]
-
-
 def test_shape_mismatch_reports_both_shapes():
     with pytest.raises(ShapeError) as exc:
-        tc.mul(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
-    assert "(2,)" in str(exc.value) and "(3,)" in str(exc.value)
+        tc.linear(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 3))))
+    assert "(1, 2)" in str(exc.value) and "(1, 3)" in str(exc.value)
     with pytest.raises(ShapeError):  # no scalar broadcasting
-        tc.mul(Tensor([1.0, 2.0]), Tensor(2.0))
+        tc.linear(Tensor(np.ones((1, 2))), Tensor(2.0))
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
@@ -108,6 +106,24 @@ def test_mean_of_constant_is_exact():
         assert tc.reduce("mean", t).item() == value
 
 
+@pytest.mark.parametrize("op", ["sum", "mean"])
+def test_reduce_backward_is_a_broadcast_view(op):
+    rng = Rng(31)
+    x = Tensor(rng.uniform(-1, 1, (3, 4, 5)), requires_grad=True)
+    with GradTape() as tape:
+        out = tc.reduce(op, x, axes=(0, 2))
+        loss = weighted_sum(out, Tensor(rng.uniform(-1, 1, out.shape)))
+    grads = backward(loss, tape)
+    gx, gout = grads[x].data, grads[out].data
+
+    full = np.broadcast_to(gout[None, :, None], x.shape)
+    materialized = np.ascontiguousarray(full / 15 if op == "mean" else full)
+    assert gx.shape == x.shape and gx.tobytes() == materialized.tobytes()
+    # every position along the reduced axes reads the same memory
+    assert np.shares_memory(gx[0, :, 0], gx[2, :, 4])
+    assert np.shares_memory(gx, gout) == (op == "sum")
+
+
 def test_reduce_axis_errors():
     t = Tensor(np.ones((2, 3)))
     with pytest.raises(ShapeError):
@@ -134,7 +150,7 @@ def test_backward_sum_gives_ones():
 def test_backward_square():
     x = Tensor([3.0], requires_grad=True)
     with GradTape() as tape:
-        loss = tc.reduce("sum", tc.mul(x, x))
+        loss = weighted_sum(x, x)
     grads = backward(loss, tape)
     assert grads[x].tolist() == [6.0]
 
@@ -142,7 +158,7 @@ def test_backward_square():
 def test_backward_requires_scalar_loss():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with GradTape() as tape:
-        y = tc.mul(x, x)
+        y = tc.sigmoid(x)
     with pytest.raises(ShapeError):
         backward(y, tape)
 
@@ -150,25 +166,25 @@ def test_backward_requires_scalar_loss():
 def test_tape_is_single_use():
     x = Tensor([1.0], requires_grad=True)
     with GradTape() as tape:
-        loss = tc.reduce("sum", tc.mul(x, x))
+        loss = weighted_sum(x, x)
     backward(loss, tape)
     with pytest.raises(RuntimeError):
         backward(loss, tape)
 
 
 def test_gradients_accumulate_across_consumers():
-    x = Tensor([2.0], requires_grad=True)
+    x = Tensor([[2.0]], requires_grad=True)
     with GradTape() as tape:
-        loss = tc.reduce("sum", tc.mul(x, x))
+        loss = tc.linear(x, x)  # x feeds both operands
     grads = backward(loss, tape)
-    assert grads[x].tolist() == [4.0]
+    assert grads[x].tolist() == [[4.0]]
 
 
 def test_tensor_outside_ancestry_gets_no_gradient():
     x = Tensor([1.0], requires_grad=True)
     unused = Tensor([1.0], requires_grad=True)
     with GradTape() as tape:
-        loss = tc.reduce("sum", tc.mul(x, x))
+        loss = weighted_sum(x, x)
     grads = backward(loss, tape)
     assert unused not in grads
 
@@ -181,7 +197,7 @@ def test_composite_graph_matches_finite_differences(seed):
     b = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
 
     def graph(at, wt, bt):
-        return tc.reduce("sum", tc.mul(tc.sigmoid(tc.linear(at, wt)), tc.relu(bt)))
+        return weighted_sum(tc.sigmoid(tc.linear(at, wt)), tc.relu(bt))
 
     with GradTape() as tape:
         loss = graph(a, w, b)
@@ -201,8 +217,8 @@ def test_every_op_matches_finite_differences(seed):
     rng = Rng(seed + 100)
     x = Tensor(rng.uniform(-1.5, 1.5, (2, 3)), requires_grad=True)
     cases = {
-        "mul": lambda t: tc.reduce("sum", tc.mul(t, t)),
-        "relu": lambda t: tc.reduce("sum", tc.mul(tc.relu(t), tc.relu(t))),
+        "weighted_sum": lambda t: weighted_sum(t, t),
+        "relu": lambda t: weighted_sum(tc.relu(t), tc.relu(t)),
         "sigmoid": lambda t: tc.reduce("sum", tc.sigmoid(t)),
         "mean": lambda t: tc.reduce("mean", t),
         "linear": lambda t: tc.reduce("sum", tc.sigmoid(tc.linear(t, t))),  # both operands
@@ -220,7 +236,7 @@ def test_every_op_matches_finite_differences(seed):
 # Finite differences
 
 def test_fd_square_function():
-    fd = finite_diff_grad(lambda t: tc.mul(t, t).item(), Tensor([3.0]), h=1e-3)
+    fd = finite_diff_grad(lambda t: weighted_sum(t, t).item(), Tensor([3.0]), h=1e-3)
     assert abs(fd.data[0] - 6.0) < 1e-6
 
 

@@ -1,6 +1,7 @@
 """Training: loss oracle, Adam trace, the epoch loop, evaluation, prediction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ import secnn.tensor as tc
 from secnn import GradTape, Rng, backward
 from secnn.embeddings import init_random
 from secnn.model import ConfigError, ModelConfig, forward, init_params
-from secnn.tensor import NumericError, ShapeError, Tensor
+from secnn.tensor import NumericError, ShapeError, Tensor, record_op
 from secnn.text import EncodedBatch, build_vocab
 from secnn.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     OptimizerState,
     TrainConfig,
     adam_step,
@@ -93,14 +97,16 @@ def test_initial_loss_near_log_c():
 # --------------------------------------------------------------------------
 # Adam
 
+SCALAR_CONFIG = ModelConfig(
+    n_max=4, d=2, filter_sizes=[2], maps_per_branch=1, padding="valid",
+    r=1, pieces=1, dropout_rate=0.0, num_classes=2,
+)
+
+
 def scalar_params():
-    cfg = ModelConfig(
-        n_max=4, d=2, filter_sizes=[2], maps_per_branch=1, padding="valid",
-        r=1, pieces=1, dropout_rate=0.0, num_classes=2,
-    )
     rng = Rng(24)
-    emb = init_random(4, cfg.d, rng.child(1))
-    return init_params(cfg, rng.child(2), emb)
+    emb = init_random(4, SCALAR_CONFIG.d, rng.child(1))
+    return init_params(SCALAR_CONFIG, rng.child(2), emb)
 
 
 def grads_for(params, value: float):
@@ -151,6 +157,87 @@ def test_adam_missing_gradient_raises():
     with pytest.raises(ValueError) as exc:
         adam_step(params, grads, state, lr=1e-3)
     assert "dense_b" in str(exc.value)
+
+
+class LooseParams:
+    """Stand-in for ModelParams: just named trainable tensors."""
+
+    def __init__(self, tensors):
+        self.tensors = tensors
+
+    def trainable_tensors(self):
+        return self.tensors
+
+
+def test_in_place_adam_matches_out_of_place_reference_bitwise():
+    rng = Rng(40)
+    shapes = [tuple(int(s) for s in rng.integers(1, 6, int(rng.integers(1, 4)))) for _ in range(5)]
+    tensors = [(f"p{i}", Tensor(rng.uniform(-1, 1, shape), requires_grad=True)) for i, shape in enumerate(shapes)]
+    params = LooseParams(tensors)
+    state = OptimizerState(
+        first={n: np.zeros(t.shape) for n, t in tensors},
+        second={n: np.zeros(t.shape) for n, t in tensors},
+    )
+    ref = {n: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape)) for n, t in tensors}
+    for step in range(1, 41):
+        lr = float(rng.uniform(1e-4, 1e-1))
+        grads = {t: Tensor(rng.uniform(-1, 1, t.shape) * 10.0 ** rng.integers(-6, 4)) for _, t in tensors}
+        adam_step(params, grads, state, lr)
+        for name, t in tensors:
+            p, m, v = ref[name]
+            g = grads[t].data
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            p = p - lr * (m / (1.0 - ADAM_BETA1**step)) / (np.sqrt(v / (1.0 - ADAM_BETA2**step)) + ADAM_EPS)
+            ref[name] = (p, m, v)
+            assert p.tobytes() == t.data.tobytes(), (name, step)
+            assert m.tobytes() == state.first[name].tobytes(), (name, step)
+            assert v.tobytes() == state.second[name].tobytes(), (name, step)
+    assert state.step == 40
+
+
+def test_adam_step_allocates_no_parameter_sized_temporaries():
+    w = Tensor(np.zeros((256, 512)), requires_grad=True)  # 1 MiB
+    params = LooseParams([("w", w)])
+    state = OptimizerState(first={"w": np.zeros(w.shape)}, second={"w": np.zeros(w.shape)})
+    grads = {w: Tensor(np.full(w.shape, 0.5))}
+    adam_step(params, grads, state, lr=1e-3)  # the first update makes the work buffers
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w.data.nbytes / 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_gradient_stops_adam_before_any_write(bad):
+    params = scalar_params()
+    state = OptimizerState.for_params(params)
+    adam_step(params, grads_for(params, 0.1), state, lr=1e-3)  # non-zero moments
+    before = (
+        [t.data.copy() for _, t in params.trainable_tensors()],
+        {n: m.copy() for n, m in state.first.items()},
+        {n: v.copy() for n, v in state.second.items()},
+    )
+    ids = np.array([[2, 3, 1, 0], [3, 2, 2, 1]])
+    with GradTape() as tape:
+        logits = forward(params, SCALAR_CONFIG, ids)
+        poisoned = Tensor(logits.data, requires_grad=True)  # an intermediate whose backward blows up
+        record_op(poisoned, (logits,), lambda g: (np.full(logits.shape, bad),))
+        loss = cross_entropy_loss(poisoned, np.array([0, 1]))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the backward matmuls
+        grads = backward(loss, tape)
+
+    with pytest.raises(NumericError, match="'embedding'"):
+        adam_step(params, grads, state, lr=1e-3)
+    assert state.step == 1
+    for (_, t), saved in zip(params.trainable_tensors(), before[0]):
+        assert np.array_equal(t.data, saved)
+    for name in state.first:
+        assert np.array_equal(state.first[name], before[1][name])
+        assert np.array_equal(state.second[name], before[2][name])
 
 
 def test_adam_nonfinite_update_raises():
