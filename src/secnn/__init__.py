@@ -46,6 +46,8 @@ from .model import (
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .training import (
+    DataConfig,
+    EmbeddingsConfig,
     EvalResult,
     OptimizerState,
     TrainConfig,

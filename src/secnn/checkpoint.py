@@ -16,6 +16,7 @@ mismatches, and byte ranges that do not tile the binary file.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ def save_checkpoint(
 
     manifest = {
         "format_version": FORMAT_VERSION,
-        "model_config": config.to_dict(),
+        "model_config": asdict(config),
         "label_map": {name: i for i, name in enumerate(label_names)},
         "embedding_trainable": params.embedding.trainable,
         "tensors": table,
@@ -188,9 +189,8 @@ def load_checkpoint(dir_path: str | Path) -> tuple[ModelParams, ModelConfig, lis
     if missing:
         raise CheckpointError(f"checkpoint is missing tensors: {sorted(missing)}")
 
-    trainable = bool(manifest["embedding_trainable"])
     embedding = EmbeddingMatrix(
-        Tensor(seen["embedding"], requires_grad=trainable), trainable=trainable
+        Tensor(seen["embedding"], requires_grad=bool(manifest["embedding_trainable"]))
     )
     filters = [
         Tensor(seen[f"filters.{i}"], requires_grad=True)

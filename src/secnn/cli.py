@@ -3,8 +3,8 @@
 Subcommands: train, eval, predict, gradcheck, sweep-ratio.  Run configs
 are JSON files with four sections (model, embeddings, train, data);
 `--set section.key=value` overrides single values, `--seed` is shorthand
-for `--set train.seed=...`.  Unknown keys are rejected before any work
-starts.
+for `--set train.seed=...`.  Unknown keys, wrong-type values and
+out-of-range values are rejected before any work starts.
 
 Exit codes: 0 success, 1 configuration or checkpoint error, 2 data error,
 3 numeric failure (non-finite loss or a failed gradient check).
@@ -13,22 +13,22 @@ Exit codes: 0 success, 1 configuration or checkpoint error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import copy
 import json
-import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
-from .model import ConfigError, ModelConfig, init_params, require_int
+from .model import ConfigError, ModelConfig, config_from_dict, init_params
 from .embeddings import init_random
 from .tensor import NumericError, Rng
 from .text import DataError, EncodedBatch, load_dataset
 from .training import (
     GRADCHECK_TOLERANCE,
+    DataConfig,
+    EmbeddingsConfig,
     TrainConfig,
     evaluate,
     gradient_check,
@@ -44,128 +44,93 @@ EXIT_NUMERIC = 3
 DEFAULT_RATIOS = [2, 4, 8, 16, 32, 64]
 GRADCHECK_MAX_PARAMS = 5000
 
+# The dataclass behind each section of a run config.  The model section has
+# no `num_classes`: the dataset's labels give it.
+RUN_CONFIG_SECTIONS = {
+    "model": ModelConfig, "embeddings": EmbeddingsConfig, "train": TrainConfig, "data": DataConfig
+}
+
+
+def _json_form(section) -> dict:
+    return {key: value for key, value in asdict(section).items() if key != "num_classes"}
+
+
 # Desk-scale defaults; the larger corpus-scale preset from the experiments
 # (128 maps per branch, ratio 16, batch 64) is documented in the README.
-DEFAULT_RUN_CONFIG: dict = {
-    "model": {k: v for k, v in ModelConfig().to_dict().items() if k != "num_classes"},
-    "embeddings": {
-        "trainable": True,
-        "scale": 0.1,
-        "vectors": None,
-    },
-    "train": asdict(TrainConfig()),
-    "data": {
-        "dataset": None,
-        "min_freq": 1,
-        "max_vocab": None,
-    },
-}
+DEFAULT_RUN_CONFIG: dict = {name: _json_form(cls()) for name, cls in RUN_CONFIG_SECTIONS.items()}
 
-GRADCHECK_MODEL_CONFIG: dict = {
-    "n_max": 7,
-    "d": 4,
-    "filter_sizes": [2, 3],
-    "maps_per_branch": 2,
-    "padding": "same",
-    "r": 2,
-    "pieces": 2,
-    "dropout_rate": 0.0,
-    "conv_activation": "identity",
-}
+GRADCHECK_MODEL_CONFIG = ModelConfig(
+    n_max=7, d=4, filter_sizes=[2, 3], maps_per_branch=2, padding="same", r=2, pieces=2
+)
 
 
-def _merge_section(base: dict, override: dict, path: str) -> None:
-    for key, value in override.items():
-        if key not in base:
-            raise ConfigError(f"unknown config key {path}.{key}")
-        base[key] = value
+def _set(cfg: dict, dotted: str, value) -> None:
+    """`cfg[section][key] = value` for `dotted` = "section.key"; an unknown key raises ConfigError."""
+    section, _, key = dotted.partition(".")
+    if key not in cfg.get(section, {}):
+        raise ConfigError(f"unknown config key {dotted!r}")
+    cfg[section][key] = value
 
 
-def load_run_config(config_path: str | None, sets: list[str], seed: int | None) -> dict:
-    """Defaults, overlaid with the config file, then --set pairs, then --seed."""
-    cfg = copy.deepcopy(DEFAULT_RUN_CONFIG)
+def _read_config_file(config_path: str) -> dict:
+    path = Path(config_path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise ConfigError(f"config file {path} is not valid UTF-8 JSON: {exc}") from None
+    if not isinstance(loaded, dict) or not all(isinstance(v, dict) for v in loaded.values()):
+        raise ConfigError(f"config file {path} must hold a JSON object of section objects")
+    return loaded
+
+
+def load_run(config_path: str | None, sets: list[str], seed: int | None) -> dict:
+    """Defaults, overlaid with the config file, then --set pairs, then --seed,
+    parsed into one validated dataclass per section (the model holds the
+    default class count until a dataset gives the real one)."""
+    cfg = {name: dict(values) for name, values in DEFAULT_RUN_CONFIG.items()}
     if config_path is not None:
-        path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        for section, content in loaded.items():
+        for section, content in _read_config_file(config_path).items():
             if section not in cfg:
                 raise ConfigError(f"unknown config section {section!r}")
-            if not isinstance(content, dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            _merge_section(cfg[section], content, section)
+            for key, value in content.items():
+                _set(cfg, f"{section}.{key}", value)
     for pair in sets:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         dotted, raw = pair.split("=", 1)
-        section, _, key = dotted.partition(".")
-        if not key:
-            raise ConfigError(f"--set key must be section.key, got {dotted!r}")
-        if section not in cfg or key not in cfg[section]:
-            raise ConfigError(f"unknown config key {dotted!r}")
         try:
-            cfg[section][key] = json.loads(raw)
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            cfg[section][key] = raw
+            value = raw
+        _set(cfg, dotted, value)
     if seed is not None:
-        cfg["train"]["seed"] = seed
-    return cfg
+        _set(cfg, "train.seed", seed)
+    return {name: config_from_dict(cls, cfg[name], name) for name, cls in RUN_CONFIG_SECTIONS.items()}
 
 
-def _model_config(cfg: dict, num_classes: int) -> ModelConfig:
-    return ModelConfig.from_dict({**cfg["model"], "num_classes": num_classes})
+def load_run_config(config_path: str | None, sets: list[str], seed: int | None) -> dict:
+    """`load_run` in JSON form: one plain dict per section."""
+    return {name: _json_form(section) for name, section in load_run(config_path, sets, seed).items()}
 
 
-def _train_kwargs(cfg: dict) -> dict:
-    """The embedding and vocabulary keyword arguments of `train()`."""
-    emb, data = cfg["embeddings"], cfg["data"]
-    if not isinstance(emb["trainable"], bool):
-        raise ConfigError(f"embeddings.trainable must be true or false, got {emb['trainable']!r}")
-    try:
-        return {
-            "vectors_path": None if emb["vectors"] is None else os.fspath(emb["vectors"]),
-            "embeddings_trainable": emb["trainable"],
-            "embed_scale": float(emb["scale"]),
-            "min_freq": require_int(data["min_freq"], "data.min_freq"),
-            "max_vocab": None if data["max_vocab"] is None else require_int(data["max_vocab"], "data.max_vocab"),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid embeddings or data config: {exc}") from None
-
-
-def _require_dataset(cfg: dict) -> Path:
-    dataset = cfg["data"]["dataset"]
-    if not isinstance(dataset, str) or not dataset:
+def _load_training_set(data: DataConfig):
+    if not data.dataset:
         raise ConfigError("data.dataset must point at a label,text CSV file")
-    path = Path(dataset)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    return path
+    return load_dataset(data.dataset)
 
 
 # --------------------------------------------------------------------------
 # Commands
 
 def cmd_train(config_path: str | None, sets: list[str], seed: int | None, out: str) -> int:
-    cfg = load_run_config(config_path, sets, seed)
-    dataset_path = _require_dataset(cfg)
-    examples, label_names = load_dataset(dataset_path)
-    model_config = _model_config(cfg, len(label_names))
-    train_config = TrainConfig.from_dict(cfg["train"])
-
+    run = load_run(config_path, sets, seed)
+    examples, label_names = _load_training_set(run["data"])
+    model_config = replace(run["model"], num_classes=len(label_names))
     result = train(
-        model_config,
-        train_config,
-        (examples, label_names),
-        **_train_kwargs(cfg),
-        out_dir=out,
-        log=print,
+        model_config, run["train"], (examples, label_names), run["embeddings"], run["data"],
+        out_dir=out, log=print,
     )
     report = result.report
     print(f"best_epoch={report.best_epoch} best_dev_acc={report.best_dev_acc:.4f}")
@@ -195,14 +160,13 @@ def cmd_predict(checkpoint_dir: str, text: str) -> int:
 
 
 def cmd_gradcheck(config_path: str | None, sets: list[str], seed: int | None) -> int:
-    cfg = load_run_config(config_path, sets, seed)
+    run = load_run(config_path, sets, seed)
+    model_config = run["model"]
     if config_path is None and not any(s.startswith("model.") for s in sets):
-        cfg["model"] = dict(GRADCHECK_MODEL_CONFIG)
-    model_config = ModelConfig.from_dict({**cfg["model"], "num_classes": 2})
-    if model_config.dropout_rate != 0.0:
-        model_config.dropout_rate = 0.0  # the check needs a deterministic loss
+        model_config = GRADCHECK_MODEL_CONFIG
+    model_config = replace(model_config, dropout_rate=0.0)  # the check needs a deterministic loss
 
-    rng = Rng(TrainConfig.from_dict(cfg["train"]).seed)
+    rng = Rng(run["train"].seed)
     vocab_size = 10
     # The harness runs at O(1) activations: with the training-time 0.1-scale
     # init, some gate gradients drop below the 1e-8 floor where central
@@ -243,20 +207,16 @@ def cmd_sweep_ratio(
     out: str,
     ratios: list[int] | None,
 ) -> int:
-    cfg = load_run_config(config_path, sets, seed)
+    run = load_run(config_path, sets, seed)
     ratios = sorted(set(ratios or DEFAULT_RATIOS))
     if any(r < 1 for r in ratios):
         raise ConfigError(f"ratios must be >= 1, got {ratios}")
-    dataset_path = _require_dataset(cfg)
-    examples, label_names = load_dataset(dataset_path)
-    train_config = TrainConfig.from_dict(cfg["train"])
+    examples, label_names = _load_training_set(run["data"])
 
     rows = []
     for ratio in ratios:
-        model_config = ModelConfig.from_dict(
-            {**cfg["model"], "r": ratio, "num_classes": len(label_names)}
-        )
-        result = train(model_config, train_config, (examples, label_names), **_train_kwargs(cfg))
+        model_config = replace(run["model"], r=ratio, num_classes=len(label_names))
+        result = train(model_config, run["train"], (examples, label_names), run["embeddings"], run["data"])
         rows.append((ratio, result.report.best_dev_acc))
         print(f"r={ratio} dev_accuracy={result.report.best_dev_acc:.4f}")
 

@@ -23,7 +23,10 @@ class EmbeddingMatrix:
     """V x d weight tensor; row PAD_ID stays zero and never receives updates."""
 
     weights: Tensor
-    trainable: bool
+
+    @property
+    def trainable(self) -> bool:
+        return self.weights.requires_grad
 
     @property
     def vocab_size(self) -> int:
@@ -53,7 +56,7 @@ def init_random(vocab_size: int, d: int, rng: Rng, scale: float = 0.1) -> Embedd
         raise ValueError(f"scale must be positive, got {scale}")
     weights = rng.uniform(-scale, scale, (vocab_size, d))
     weights[PAD_ID] = 0.0
-    return EmbeddingMatrix(Tensor(weights, requires_grad=True), trainable=True)
+    return EmbeddingMatrix(Tensor(weights, requires_grad=True))
 
 
 def load_pretrained(
@@ -70,7 +73,7 @@ def load_pretrained(
     coverage fraction counts real tokens only (ids >= 2).
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"pretrained vector file not found: {path}")
     vocab_size = len(vocab)
     weights = rng.uniform(-scale, scale, (vocab_size, d_expected))
@@ -105,7 +108,7 @@ def load_pretrained(
     hits = len(covered)
     real = max(vocab_size - 2, 1)
     report = CoverageReport(hits=hits, misses=vocab_size - 2 - hits, fraction=hits / real)
-    return EmbeddingMatrix(Tensor(weights, requires_grad=False), trainable=False), report
+    return EmbeddingMatrix(Tensor(weights, requires_grad=False)), report
 
 
 def _all_ints(parts: list[str]) -> bool:

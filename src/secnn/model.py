@@ -16,7 +16,8 @@ Each forward stage asserts its declared output shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,8 +73,6 @@ class ModelConfig:
     conv_activation: str = "identity"
 
     def __post_init__(self):
-        if any(isinstance(k, bool) or not isinstance(k, int) for k in self.filter_sizes):
-            raise ConfigError(f"filter_sizes must hold integers, got {self.filter_sizes!r}")
         self.filter_sizes = list(self.filter_sizes)
         if self.n_max < 1:
             raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
@@ -123,36 +122,53 @@ class ModelConfig:
             return self.n_max - self.filter_sizes[0] + 1
         return self.n_max
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return config_from_dict(cls, d, "model")
 
 
 def config_from_dict(cls, d: dict, section: str):
-    """Build config dataclass `cls` from `d`; every bad key or value raises ConfigError."""
+    """Build config dataclass `cls` from `d`, each value checked against its
+    field's declared type (an int widens to float) and then range-checked by
+    the dataclass itself; every bad key or value raises ConfigError."""
     unknown = set(d) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown {section} config keys: {sorted(unknown)}")
-    for f in fields(cls):
-        # a float here would pass the range checks and fail deep inside training
-        if f.type == "int" and f.name in d:
-            require_int(d[f.name], f"{section}.{f.name}")
-    try:
-        return cls(**d)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {section} config: {exc}") from None
+    return cls(**{
+        f.name: _typed(d[f.name], f.type, f"{section}.{f.name}")
+        for f in fields(cls) if f.name in d
+    })
 
 
-def require_int(value, name: str) -> int:
-    """`value` unchanged if it is an int; a bool, float or string raises ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or a float, finite: NaN, infinities and ints past the float range fail."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+# One check per field type a config dataclass declares (the annotations are
+# strings under `from __future__ import annotations`); `X | None` is X or null.
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+}
+
+
+def _typed(value, annotation: str, name: str):
+    base, _, optional = annotation.partition(" | ")
+    if optional and value is None:
+        return None
+    check, expected = _TYPE_CHECKS[base]
+    if not check(value):
+        or_null = " or null" if optional else ""
+        raise ConfigError(f"{name} must be {expected}{or_null}, got {value!r}")
+    return float(value) if base == "float" else value
 
 
 @dataclass
@@ -181,11 +197,7 @@ class ModelParams:
         return named
 
     def trainable_tensors(self) -> list[tuple[str, Tensor]]:
-        return [
-            (name, t)
-            for name, t in self.named_tensors()
-            if not (name == "embedding" and not self.embedding.trainable)
-        ]
+        return [(name, t) for name, t in self.named_tensors() if t.requires_grad]
 
     def total_size(self) -> int:
         return sum(t.size for _, t in self.named_tensors())

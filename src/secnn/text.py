@@ -166,7 +166,7 @@ def load_dataset(path: str | Path) -> tuple[list[LabeledExample], list[str]]:
     Returns the examples plus the label-name list indexed by class id.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
     rows: list[tuple[str, str]] = []
     try:

@@ -21,12 +21,14 @@ from .text import (
     load_dataset,
     split_train_dev,
 )
-from .embeddings import EmbeddingMatrix, init_random, load_pretrained
-from .model import ConfigError, ModelConfig, ModelParams, config_from_dict, forward, init_params
+from .embeddings import init_random, load_pretrained
+from .model import ConfigError, ModelConfig, ModelParams, forward, init_params
 from .checkpoint import save_checkpoint
 
 __all__ = [
     "TrainConfig",
+    "EmbeddingsConfig",
+    "DataConfig",
     "OptimizerState",
     "EpochStats",
     "TrainReport",
@@ -71,9 +73,35 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return config_from_dict(cls, d, "train")
+
+@dataclass(frozen=True)
+class EmbeddingsConfig:
+    """Embedding rows: uniform(-scale, +scale) random, or read from the
+    `vectors` file where it has them; updated by training when `trainable`."""
+
+    trainable: bool = True
+    scale: float = 0.1
+    vectors: str | None = None
+
+    def __post_init__(self):
+        if not 0 < self.scale < float("inf"):
+            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """The training CSV and the vocabulary cut-offs (`max_vocab` counts the
+    two reserved ids)."""
+
+    dataset: str | None = None
+    min_freq: int = 1
+    max_vocab: int | None = None
+
+    def __post_init__(self):
+        if self.min_freq < 1:
+            raise ConfigError(f"min_freq must be >= 1, got {self.min_freq}")
+        if self.max_vocab is not None and self.max_vocab < 2:
+            raise ConfigError(f"max_vocab must be null or >= 2, got {self.max_vocab}")
 
 
 # --------------------------------------------------------------------------
@@ -282,17 +310,15 @@ def train(
     model_config: ModelConfig,
     train_config: TrainConfig,
     dataset: str | Path | tuple[list[LabeledExample], list[str]],
-    vectors_path: str | Path | None = None,
+    embeddings: EmbeddingsConfig = EmbeddingsConfig(),
+    data: DataConfig = DataConfig(),
     *,
-    embeddings_trainable: bool = True,
-    embed_scale: float = 0.1,
-    min_freq: int = 1,
-    max_vocab: int | None = None,
     out_dir: str | Path | None = None,
     log=None,
 ) -> TrainResult:
     """Train from a dataset path (or preloaded examples) and keep the
-    best-dev parameters.
+    best-dev parameters.  `data` gives only the vocabulary cut-offs here;
+    its `dataset` path is the CLI's.
 
     Reproducible end to end from `train_config.seed`: the split, parameter
     init, epoch shuffles, and dropout all draw from seeded substreams.
@@ -313,22 +339,15 @@ def train(
 
     root = Rng(train_config.seed)
     train_set, dev_set = split_train_dev(examples, train_config.dev_fraction, root.child(1))
-    vocab = build_vocab(train_set, min_freq=min_freq, max_size=max_vocab)
+    vocab = build_vocab(train_set, min_freq=data.min_freq, max_size=data.max_vocab)
 
-    if vectors_path is not None:
-        embedding, _coverage = load_pretrained(
-            vectors_path, vocab, model_config.d, root.child(2), scale=embed_scale
-        )
-        if embeddings_trainable:
-            embedding = EmbeddingMatrix(
-                Tensor(embedding.weights.data.copy(), requires_grad=True), trainable=True
-            )
+    if embeddings.vectors is None:
+        embedding = init_random(len(vocab), model_config.d, root.child(2), scale=embeddings.scale)
     else:
-        embedding = init_random(len(vocab), model_config.d, root.child(2), scale=embed_scale)
-        if not embeddings_trainable:
-            embedding = EmbeddingMatrix(
-                Tensor(embedding.weights.data, requires_grad=False), trainable=False
-            )
+        embedding, _coverage = load_pretrained(
+            embeddings.vectors, vocab, model_config.d, root.child(2), scale=embeddings.scale
+        )
+    embedding.weights.requires_grad = embeddings.trainable
 
     params = init_params(model_config, root.child(3), embedding)
     state = OptimizerState.for_params(params)

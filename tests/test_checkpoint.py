@@ -56,7 +56,7 @@ def test_roundtrip_preserves_metadata(tmp_path, trained_result):
     ck = save_checkpoint(tmp_path / "ck", result.params, result.config,
                          result.label_names, result.vocab)
     params, config, label_names, vocab = load_checkpoint(ck)
-    assert config.to_dict() == result.config.to_dict()
+    assert config == result.config
     assert label_names == result.label_names
     assert vocab.tokens() == result.vocab.tokens()
     assert params.embedding.trainable == result.params.embedding.trainable

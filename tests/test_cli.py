@@ -37,9 +37,19 @@ def fast_train_args(csv_path, out_dir, seed=5):
 # Config loading
 
 def test_load_run_config_defaults():
-    cfg = load_run_config(None, [], None)
-    assert cfg["model"]["filter_sizes"] == [3, 3, 3]
-    assert cfg["train"]["batch_size"] == 16
+    assert load_run_config(None, [], None) == {
+        "model": {
+            "n_max": 50, "d": 50, "filter_sizes": [3, 3, 3], "maps_per_branch": 8,
+            "padding": "valid", "r": 4, "pieces": 3, "dropout_rate": 0.5,
+            "conv_activation": "identity",
+        },
+        "embeddings": {"trainable": True, "scale": 0.1, "vectors": None},
+        "train": {
+            "batch_size": 16, "learning_rate": 0.001, "max_epochs": 50,
+            "patience": 5, "dev_fraction": 0.1, "seed": 42,
+        },
+        "data": {"dataset": None, "min_freq": 1, "max_vocab": None},
+    }
 
 
 def test_load_run_config_file_and_overrides(tmp_path):
@@ -79,6 +89,29 @@ def test_train_missing_dataset_exits_2(tmp_path, capsys):
 
 def test_train_unset_dataset_exits_1(tmp_path):
     assert main(["train", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key", ["data.dataset", "embeddings.vectors"])
+def test_train_directory_path_exits_2(tmp_path, keyword_csv, capsys, key):
+    out = tmp_path / "run"
+    assert main(fast_train_args(keyword_csv, out) + ["--set", f"{key}={tmp_path}"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, b'{"train": {"seed": "\xe9"}}'])
+def test_train_unreadable_config_exits_1(tmp_path, capsys, content):
+    config = tmp_path / "run.json"
+    if content is None:
+        config.mkdir()  # a directory where the file should be
+    else:
+        config.write_bytes(content)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_train_writes_checkpoint_and_report(tmp_path, keyword_csv):
@@ -129,6 +162,15 @@ def test_train_config_error_leaves_no_output(tmp_path, keyword_csv):
     "model.filter_sizes=[3.7,3.2,3.9]",  # int() would train [3, 3, 3]
     "data.min_freq=1.9",  # int() would train min_freq 1
     "train.patience=true",  # a bool is an int
+    "embeddings.scale=true",  # float(True) would train scale 1.0
+    "train.learning_rate=true",
+    "model.dropout_rate=false",
+    "embeddings.scale=NaN",
+    "embeddings.scale=0",
+    "embeddings.scale=1e400",  # JSON reads it as inf
+    "train.learning_rate=NaN",
+    "data.min_freq=-3",
+    "data.max_vocab=0",
 ])
 def test_train_wrong_type_config_value_exits_1(tmp_path, keyword_csv, capsys, override):
     out = tmp_path / "run"
@@ -200,9 +242,10 @@ def test_eval_label_mismatch_exits_1(trained_out, tmp_path):
     assert main(["eval", str(checkpoint), str(bad)]) == EXIT_CONFIG
 
 
-def test_eval_missing_dataset_exits_2(trained_out):
+def test_eval_missing_dataset_exits_2(trained_out, tmp_path):
     checkpoint, _, _ = trained_out
     assert main(["eval", str(checkpoint), "/no/such/data.csv"]) == EXIT_DATA
+    assert main(["eval", str(checkpoint), str(tmp_path)]) == EXIT_DATA  # a directory
 
 
 def test_eval_missing_checkpoint_exits_1(trained_out):

@@ -9,13 +9,15 @@ import pytest
 import secnn.tensor as tc
 from secnn import GradTape, Rng, backward
 from secnn.embeddings import init_random
-from secnn.model import ConfigError, ModelConfig, forward, init_params
+from secnn.model import ConfigError, ModelConfig, config_from_dict, forward, init_params
 from secnn.tensor import NumericError, ShapeError, Tensor, record_op
 from secnn.text import EncodedBatch, build_vocab
 from secnn.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    DataConfig,
+    EmbeddingsConfig,
     OptimizerState,
     TrainConfig,
     adam_step,
@@ -332,7 +334,13 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ConfigError):
-        TrainConfig.from_dict({"batch_size": 4, "bogus": 1})
+        config_from_dict(TrainConfig, {"batch_size": 4, "bogus": 1}, "train")
+    for bad_embeddings in ({"scale": 0.0}, {"scale": -1.0}, {"scale": float("inf")}):
+        with pytest.raises(ConfigError):
+            EmbeddingsConfig(**bad_embeddings)
+    for bad_data in ({"min_freq": 0}, {"min_freq": -3}, {"max_vocab": 1}, {"max_vocab": -5}):
+        with pytest.raises(ConfigError):
+            DataConfig(**bad_data)
 
 
 # --------------------------------------------------------------------------
@@ -424,7 +432,7 @@ def test_mixed_filter_sizes_with_static_vectors(tmp_path, keyword_dataset):
     )
     tcfg = TrainConfig(batch_size=16, learning_rate=1e-3, max_epochs=3, patience=3, seed=5)
     result = train(
-        cfg, tcfg, keyword_dataset, vectors_path=vec_path, embeddings_trainable=False
+        cfg, tcfg, keyword_dataset, EmbeddingsConfig(trainable=False, vectors=str(vec_path))
     )
     assert not result.params.embedding.trainable
     assert len(result.report.epochs) == 3
