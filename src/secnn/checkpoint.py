@@ -3,30 +3,36 @@
 A checkpoint is a directory holding:
 
   manifest.json  format version, model config, label map, embedding
-                 trainable flag, and a tensor table mapping each parameter
-                 name to {shape, dtype: "f32", byte_offset, byte_length}
+                 trainable flag, and the tensor table: one
+                 {name, shape, dtype: "f32", byte_offset, byte_length} entry
+                 per parameter, in `ModelParams.named_tensors()` order
   params.bin     the parameter arrays, concatenated row-major
-                 little-endian float32 in manifest order
+                 little-endian float32 in table order
   vocab.txt      the vocabulary, one token per line (line number = id)
 
-Loading rejects unknown format versions, missing or extra tensors, shape
-mismatches, and byte ranges that do not tile the binary file.
+`tensor_table` is the one definition of that table.  Loading requires the
+stored table to equal, entry for entry and as JSON values, the table built
+from the manifest's model config and the vocabulary size, so unknown
+versions, missing, extra or reordered tensors, shape mismatches and byte
+ranges that do not tile `params.bin` are all rejected, as are tensors
+holding NaN or Inf.  Every failure is a `CheckpointError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
-from .model import ModelConfig, ModelParams
-from .tensor import Tensor
+from .model import ModelConfig, ModelParams, param_shapes
+from .tensor import NumericError, Tensor
 from .text import Vocabulary
 
-__all__ = ["CheckpointError", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint"]
+__all__ = ["CheckpointError", "FORMAT_VERSION", "save_checkpoint", "load_checkpoint", "tensor_table"]
 
 FORMAT_VERSION = 1
 
@@ -39,6 +45,20 @@ class CheckpointError(ValueError):
     """The checkpoint directory is unreadable, corrupt, or incompatible."""
 
 
+def tensor_table(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
+    """The manifest's tensor table for parameters of these shapes, in order;
+    each tensor's float32 bytes directly follow the previous one's."""
+    table = []
+    offset = 0
+    for name, shape in shapes.items():
+        length = 4 * math.prod(shape)
+        table.append(
+            {"name": name, "shape": list(shape), "dtype": "f32", "byte_offset": offset, "byte_length": length}
+        )
+        offset += length
+    return table
+
+
 def save_checkpoint(
     dir_path: str | Path,
     params: ModelParams,
@@ -49,74 +69,60 @@ def save_checkpoint(
     """Write manifest + binary params + vocabulary; returns the directory."""
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
-
-    table = []
-    offset = 0
-    blobs = []
-    for name, t in params.named_tensors():
-        raw = np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-        table.append(
-            {
-                "name": name,
-                "shape": list(t.shape),
-                "dtype": "f32",
-                "byte_offset": offset,
-                "byte_length": len(raw),
-            }
-        )
-        blobs.append(raw)
-        offset += len(raw)
-
+    named = params.named_tensors()
     manifest = {
         "format_version": FORMAT_VERSION,
         "model_config": asdict(config),
         "label_map": {name: i for i, name in enumerate(label_names)},
         "embedding_trainable": params.embedding.trainable,
-        "tensors": table,
+        "tensors": tensor_table({name: t.shape for name, t in named}),
     }
     with open(dir_path / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(dir_path / PARAMS_NAME, "wb") as fh:
-        for raw in blobs:
-            fh.write(raw)
+        for _, t in named:
+            fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
     vocab.save(dir_path / VOCAB_NAME)
     return dir_path
 
 
-def _expected_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple]:
-    channels = config.total_channels
-    expected = {"embedding": (vocab_size, config.d)}
-    for i, k in enumerate(config.filter_sizes):
-        expected[f"filters.{i}"] = (config.maps_per_branch, k, config.d)
-    expected["se_w1"] = (channels * config.r, channels)
-    expected["se_w2"] = (channels, channels * config.r)
-    expected["dense_w"] = (config.pieces * config.d, config.num_classes)
-    expected["dense_b"] = (config.num_classes,)
-    return expected
+def _read_bytes(path: Path) -> bytes:
+    if not path.is_file():
+        raise CheckpointError(f"no file {path.name} in {path.parent}")
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from None
+
+
+def _as_json(value) -> str:
+    """`value` in canonical JSON text, so `true` differs from `1` and `2.0` from `2`."""
+    return json.dumps(value, sort_keys=True)
 
 
 def load_checkpoint(dir_path: str | Path) -> tuple[ModelParams, ModelConfig, list[str], Vocabulary]:
     """Read a checkpoint directory back into live objects."""
     dir_path = Path(dir_path)
     manifest_path = dir_path / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise CheckpointError(f"missing {MANIFEST_NAME} in {dir_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(_read_bytes(manifest_path).decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt manifest {manifest_path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise CheckpointError(f"corrupt manifest {manifest_path}: not an object")
 
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint format version {version!r} (expected {FORMAT_VERSION})"
+            f"unsupported checkpoint format version {_as_json(version)} (expected {FORMAT_VERSION})"
         )
     for key in ("model_config", "label_map", "tensors", "embedding_trainable"):
         if key not in manifest:
             raise CheckpointError(f"manifest is missing required key {key!r}")
+    trainable = manifest["embedding_trainable"]
+    if not isinstance(trainable, bool):
+        raise CheckpointError(f"manifest embedding_trainable must be true or false, got {_as_json(trainable)}")
 
     try:
         config = ModelConfig.from_dict(manifest["model_config"])
@@ -139,69 +145,31 @@ def load_checkpoint(dir_path: str | Path) -> tuple[ModelParams, ModelConfig, lis
 
     try:
         vocab = Vocabulary.load(dir_path / VOCAB_NAME)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise CheckpointError(f"bad vocabulary in checkpoint: {exc}") from None
-    expected = _expected_shapes(config, len(vocab))
 
-    bin_path = dir_path / PARAMS_NAME
-    if not bin_path.exists():
-        raise CheckpointError(f"missing {PARAMS_NAME} in {dir_path}")
-    blob = bin_path.read_bytes()
-
-    entries = manifest["tensors"]
-    if not isinstance(entries, list):
+    table = tensor_table(param_shapes(config, len(vocab)))
+    stored = manifest["tensors"]
+    if not isinstance(stored, list):
         raise CheckpointError("manifest tensor table must be a list")
-    seen: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise CheckpointError(f"manifest tensor entry must be an object, got {entry!r}")
-        name = entry.get("name")
-        if not isinstance(name, str) or name not in expected:
-            raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
-        if name in seen:
-            raise CheckpointError(f"duplicate tensor {name!r} in checkpoint")
-        if entry.get("dtype") != "f32":
-            raise CheckpointError(f"tensor {name!r} has unsupported dtype {entry.get('dtype')!r}")
-        shape = entry.get("shape")
-        if not isinstance(shape, list) or tuple(shape) != expected[name]:
+    for i, (got, want) in enumerate(zip_longest(stored, table)):
+        if _as_json(got) != _as_json(want):
             raise CheckpointError(
-                f"tensor {name!r} has shape {shape}, expected {expected[name]}"
+                f"manifest tensor entry {i} is {_as_json(got)}, expected {_as_json(want)}"
             )
-        shape = expected[name]  # ints, even where the manifest wrote 2.0
-        if entry.get("byte_offset") != offset:
-            raise CheckpointError(f"tensor {name!r} byte_offset {entry.get('byte_offset')} != {offset}")
-        length = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        if entry.get("byte_length") != length:
-            raise CheckpointError(
-                f"tensor {name!r} byte_length {entry.get('byte_length')} != {length}"
-            )
-        if offset + length > len(blob):
-            raise CheckpointError(f"params.bin too short for tensor {name!r}")
-        arr = np.frombuffer(blob, dtype="<f4", count=length // 4, offset=offset)
-        seen[name] = arr.astype(np.float64).reshape(shape)
-        offset += length
-    if offset != len(blob):
-        raise CheckpointError(
-            f"params.bin has {len(blob)} bytes but manifest accounts for {offset}"
-        )
-    missing = set(expected) - set(seen)
-    if missing:
-        raise CheckpointError(f"checkpoint is missing tensors: {sorted(missing)}")
 
-    embedding = EmbeddingMatrix(
-        Tensor(seen["embedding"], requires_grad=bool(manifest["embedding_trainable"]))
-    )
-    filters = [
-        Tensor(seen[f"filters.{i}"], requires_grad=True)
-        for i in range(len(config.filter_sizes))
-    ]
-    params = ModelParams(
-        embedding=embedding,
-        filters=filters,
-        se_w1=Tensor(seen["se_w1"], requires_grad=True),
-        se_w2=Tensor(seen["se_w2"], requires_grad=True),
-        dense_w=Tensor(seen["dense_w"], requires_grad=True),
-        dense_b=Tensor(seen["dense_b"], requires_grad=True),
-    )
-    return params, config, label_names, vocab
+    blob = _read_bytes(dir_path / PARAMS_NAME)
+    size = table[-1]["byte_offset"] + table[-1]["byte_length"]
+    if len(blob) != size:
+        raise CheckpointError(f"{PARAMS_NAME} has {len(blob)} bytes but the manifest accounts for {size}")
+    tensors = {}
+    for entry in table:
+        name = entry["name"]
+        arr = np.frombuffer(blob, dtype="<f4", count=entry["byte_length"] // 4, offset=entry["byte_offset"])
+        try:
+            tensors[name] = Tensor(
+                arr.reshape(entry["shape"]), requires_grad=trainable if name == "embedding" else True
+            )
+        except NumericError:
+            raise CheckpointError(f"tensor {name!r} in {PARAMS_NAME} holds NaN or Inf values") from None
+    return ModelParams.from_named(tensors), config, label_names, vocab

@@ -76,8 +76,7 @@ def load_pretrained(
     if not path.is_file():
         raise DataError(f"pretrained vector file not found: {path}")
     vocab_size = len(vocab)
-    weights = rng.uniform(-scale, scale, (vocab_size, d_expected))
-    weights[PAD_ID] = 0.0
+    weights = init_random(vocab_size, d_expected, rng, scale).weights.data
     covered: set[int] = set()
     try:
         with open(path, "r", encoding="utf-8") as fh:

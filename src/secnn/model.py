@@ -31,6 +31,7 @@ __all__ = [
     "ConfigError",
     "ModelConfig",
     "ModelParams",
+    "param_shapes",
     "conv1d_valid",
     "conv1d_same",
     "stack_channels",
@@ -171,6 +172,19 @@ def _typed(value, annotation: str, name: str):
     return float(value) if base == "float" else value
 
 
+def param_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape by name, in `ModelParams.named_tensors()` order."""
+    channels = config.total_channels
+    shapes = {"embedding": (vocab_size, config.d)}
+    for i, k in enumerate(config.filter_sizes):
+        shapes[f"filters.{i}"] = (config.maps_per_branch, k, config.d)
+    shapes["se_w1"] = (channels * config.r, channels)
+    shapes["se_w2"] = (channels, channels * config.r)
+    shapes["dense_w"] = (config.pieces * config.d, config.num_classes)
+    shapes["dense_b"] = (config.num_classes,)
+    return shapes
+
+
 @dataclass
 class ModelParams:
     """Named parameter tensors; `filters[b]` packs one branch as (m, k, d)."""
@@ -181,6 +195,16 @@ class ModelParams:
     se_w2: Tensor
     dense_w: Tensor
     dense_b: Tensor
+
+    @classmethod
+    def from_named(cls, tensors: dict[str, Tensor]) -> "ModelParams":
+        """The inverse of `named_tensors`: `tensors` holds every parameter by
+        name, in that order."""
+        filters = [t for name, t in tensors.items() if name.startswith("filters.")]
+        return cls(
+            EmbeddingMatrix(tensors["embedding"]), filters,
+            tensors["se_w1"], tensors["se_w2"], tensors["dense_w"], tensors["dense_b"],
+        )
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         """All parameters in checkpoint order, frozen ones included."""
@@ -211,19 +235,17 @@ def init_params(config: ModelConfig, rng: Rng, embedding: EmbeddingMatrix) -> Mo
         raise ConfigError(
             f"embedding dim {embedding.dim} does not match config d={config.d}"
         )
-    m = config.maps_per_branch
-    filters = [
-        rng.uniform_tensor(-0.1, 0.1, (m, k, config.d), requires_grad=True)
-        for k in config.filter_sizes
-    ]
-    channels = config.total_channels
-    gate_scale = 1.0 / np.sqrt(channels)
-    se_w1 = rng.uniform_tensor(-gate_scale, gate_scale, (channels * config.r, channels), requires_grad=True)
-    se_w2 = rng.uniform_tensor(-gate_scale, gate_scale, (channels, channels * config.r), requires_grad=True)
-    dense_w = rng.uniform_tensor(
-        -0.1, 0.1, (config.pieces * config.d, config.num_classes), requires_grad=True
-    )
-    dense_b = Tensor(np.zeros(config.num_classes), requires_grad=True)
+    shapes = param_shapes(config, embedding.vocab_size)
+
+    def draw(name: str, bound: float) -> Tensor:
+        return rng.uniform_tensor(-bound, bound, shapes[name], requires_grad=True)
+
+    gate_scale = 1.0 / np.sqrt(config.total_channels)
+    filters = [draw(f"filters.{i}", 0.1) for i in range(config.num_branches)]
+    se_w1 = draw("se_w1", gate_scale)
+    se_w2 = draw("se_w2", gate_scale)
+    dense_w = draw("dense_w", 0.1)
+    dense_b = Tensor(np.zeros(shapes["dense_b"]), requires_grad=True)
     return ModelParams(embedding, filters, se_w1, se_w2, dense_w, dense_b)
 
 

@@ -107,7 +107,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         path = Path(path)
-        if not path.exists():
+        if not path.is_file():
             raise DataError(f"vocabulary file not found: {path}")
         lines = path.read_text(encoding="utf-8").splitlines()
         if len(lines) < 2 or lines[0] != PAD_TOKEN or lines[1] != UNK_TOKEN:

@@ -84,8 +84,8 @@ class EmbeddingsConfig:
     vectors: str | None = None
 
     def __post_init__(self):
-        if not 0 < self.scale < float("inf"):
-            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
+        if not 0 < 2 * self.scale < float("inf"):  # uniform(-scale, scale) needs a finite range
+            raise ConfigError(f"scale must be positive with 2 * scale finite, got {self.scale}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Checkpoint round trips and corruption rejection."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from secnn import Rng
 from secnn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from secnn.embeddings import init_random
 from secnn.model import ModelConfig, init_params
-from secnn.text import LabeledExample, build_vocab
+from secnn.text import LabeledExample, Vocabulary, build_vocab
 from secnn.training import TrainConfig, evaluate, predict, train
 
 from conftest import make_keyword_dataset
@@ -87,6 +88,19 @@ def make_small_checkpoint(tmp_path):
     return save_checkpoint(tmp_path / "ck", params, cfg, ["neg", "pos"], vocab)
 
 
+def test_readme_tensor_entry_is_what_save_writes(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("**Checkpoint**", 1)[1]
+    documented = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    vocab = Vocabulary([f"w{i}" for i in range(998)])  # 1,000 ids with <pad> and <unk>
+    cfg = ModelConfig()
+    rng = Rng(1)
+    params = init_params(cfg, rng.child(1), init_random(len(vocab), cfg.d, rng.child(2)))
+    ck = save_checkpoint(tmp_path / "ck", params, cfg, ["neg", "pos"], vocab)
+    manifest = json.loads((ck / "manifest.json").read_text(encoding="utf-8"))
+    assert documented in manifest["tensors"]
+
+
 def test_rejects_corrupt_manifest_json(tmp_path):
     ck = make_small_checkpoint(tmp_path)
     (ck / "manifest.json").write_text("{not json", encoding="utf-8")
@@ -154,7 +168,40 @@ def _non_list_shape(manifest):
     manifest["tensors"][0]["shape"] = 5
 
 
-@pytest.mark.parametrize("corrupt", [_non_object_entry, _mixed_type_label_ids, _non_list_shape])
+def _bool_format_version(manifest):
+    manifest["format_version"] = True  # equals 1 in Python, not in JSON
+
+
+def _string_trainable_flag(manifest):
+    manifest["embedding_trainable"] = "false"
+
+
+def _float_byte_offset(manifest):
+    manifest["tensors"][0]["byte_offset"] = 0.0
+
+
+def _bool_byte_offset(manifest):
+    manifest["tensors"][0]["byte_offset"] = False
+
+
+def _float_shape(manifest):
+    manifest["tensors"][0]["shape"][0] = float(manifest["tensors"][0]["shape"][0])
+
+
+def _swapped_entries(manifest):
+    # se_w1 (M*r, M) and se_w2 (M, M*r) have the same byte length, so the
+    # swapped table still tiles params.bin: only its order is wrong
+    table = manifest["tensors"]
+    i = next(i for i, e in enumerate(table) if e["name"] == "se_w1")
+    table[i], table[i + 1] = table[i + 1], table[i]
+    table[i]["byte_offset"], table[i + 1]["byte_offset"] = (
+        table[i + 1]["byte_offset"], table[i]["byte_offset"])
+
+
+@pytest.mark.parametrize("corrupt", [
+    _non_object_entry, _mixed_type_label_ids, _non_list_shape, _bool_format_version,
+    _string_trainable_flag, _float_byte_offset, _bool_byte_offset, _float_shape, _swapped_entries,
+])
 def test_rejects_malformed_manifest_schema(tmp_path, corrupt):
     ck = make_small_checkpoint(tmp_path)
     manifest = json.loads((ck / "manifest.json").read_text(encoding="utf-8"))

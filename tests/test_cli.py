@@ -1,12 +1,14 @@
 """CLI behavior: exit codes, config handling, overrides, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import secnn.tensor
 from secnn.cli import (
+    DEFAULT_RUN_CONFIG,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -50,6 +52,13 @@ def test_load_run_config_defaults():
         },
         "data": {"dataset": None, "min_freq": 1, "max_vocab": None},
     }
+
+
+def test_readme_run_config_block_is_the_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Run config", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == DEFAULT_RUN_CONFIG
 
 
 def test_load_run_config_file_and_overrides(tmp_path):
@@ -168,6 +177,7 @@ def test_train_config_error_leaves_no_output(tmp_path, keyword_csv):
     "embeddings.scale=NaN",
     "embeddings.scale=0",
     "embeddings.scale=1e400",  # JSON reads it as inf
+    "embeddings.scale=1e308",  # finite, but uniform(-scale, scale) spans inf
     "train.learning_rate=NaN",
     "data.min_freq=-3",
     "data.max_vocab=0",
@@ -290,6 +300,38 @@ def test_eval_non_utf8_manifest_exits_1(trained_out, tmp_path, capsys):
     (broken / "manifest.json").write_bytes(b'{"format_version": "\xe9"}')
     assert main(["eval", str(broken), str(csv_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "params.bin", "vocab.txt"])
+def test_predict_checkpoint_file_is_directory_exits_1(trained_out, tmp_path, capsys, name):
+    import shutil
+
+    checkpoint, _, _ = trained_out
+    broken = tmp_path / "broken_ck"
+    shutil.copytree(checkpoint, broken)
+    (broken / name).unlink()
+    (broken / name).mkdir()
+    assert main(["predict", str(broken), "a b c"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert name in err
+
+
+def test_predict_non_finite_tensor_exits_1_naming_it(trained_out, tmp_path, capsys):
+    import shutil
+
+    checkpoint, _, _ = trained_out
+    broken = tmp_path / "broken_ck"
+    shutil.copytree(checkpoint, broken)
+    manifest = json.loads((broken / "manifest.json").read_text(encoding="utf-8"))
+    offset = next(e["byte_offset"] for e in manifest["tensors"] if e["name"] == "se_w2")
+    blob = bytearray((broken / "params.bin").read_bytes())
+    blob[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    (broken / "params.bin").write_bytes(bytes(blob))
+    assert main(["predict", str(broken), "a b c"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "'se_w2'" in err
 
 
 def test_predict_outputs_label_and_probs(trained_out, capsys):
