@@ -6,8 +6,8 @@ are JSON files with four sections (model, embeddings, train, data);
 for `--set train.seed=...`.  Unknown keys, wrong-type values and
 out-of-range values are rejected before any work starts.
 
-Exit codes: 0 success, 1 configuration or checkpoint error, 2 data error,
-3 numeric failure (non-finite loss or a failed gradient check).
+Exit codes: 0 success, 1 configuration, checkpoint or output-file error,
+2 data error, 3 numeric failure (non-finite loss or a failed gradient check).
 """
 
 from __future__ import annotations
@@ -115,6 +115,16 @@ def load_run_config(config_path: str | None, sets: list[str], seed: int | None) 
     return {name: _json_form(section) for name, section in load_run(config_path, sets, seed).items()}
 
 
+def _check_out_dir(out: str) -> None:
+    """Refuse, before any training, an `--out` that could never be a directory:
+    the path, or its nearest existing ancestor, is something else."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out}: {path} exists and is not a directory")
+            return
+
+
 def _load_training_set(data: DataConfig):
     if not data.dataset:
         raise ConfigError("data.dataset must point at a label,text CSV file")
@@ -126,6 +136,7 @@ def _load_training_set(data: DataConfig):
 
 def cmd_train(config_path: str | None, sets: list[str], seed: int | None, out: str) -> int:
     run = load_run(config_path, sets, seed)
+    _check_out_dir(out)
     examples, label_names = _load_training_set(run["data"])
     model_config = replace(run["model"], num_classes=len(label_names))
     result = train(
@@ -211,6 +222,7 @@ def cmd_sweep_ratio(
     ratios = sorted(set(ratios or DEFAULT_RATIOS))
     if any(r < 1 for r in ratios):
         raise ConfigError(f"ratios must be >= 1, got {ratios}")
+    _check_out_dir(out)
     examples, label_names = _load_training_set(run["data"])
 
     rows = []
@@ -294,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # a file the system would not write or read, such as an output
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

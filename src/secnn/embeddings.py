@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng, Tensor, record_op
+from . import tensor as tc
+from .tensor import Rng, Tensor
 from .text import PAD_ID, UNK_ID, DataError, EncodedBatch, Vocabulary
 
-__all__ = ["EmbeddingMatrix", "CoverageReport", "init_random", "load_pretrained", "lookup"]
+__all__ = ["EmbeddingMatrix", "CoverageReport", "check_scale", "init_random", "load_pretrained", "lookup"]
+
+DEFAULT_SCALE = 0.1  # random rows are uniform(-scale, +scale)
 
 
 @dataclass
@@ -46,14 +49,19 @@ class CoverageReport:
     fraction: float
 
 
-def init_random(vocab_size: int, d: int, rng: Rng, scale: float = 0.1) -> EmbeddingMatrix:
+def check_scale(scale: float, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` unless uniform(-scale, +scale) is a finite, non-empty range."""
+    if not 0 < 2 * scale < float("inf"):
+        raise error(f"scale must be positive with 2 * scale finite, got {scale}")
+
+
+def init_random(vocab_size: int, d: int, rng: Rng, scale: float = DEFAULT_SCALE) -> EmbeddingMatrix:
     """Trainable matrix with rows sampled uniform(-scale, +scale); PAD row zero."""
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
     if d < 1:
         raise ValueError(f"embedding dim must be >= 1, got {d}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    check_scale(scale)
     weights = rng.uniform(-scale, scale, (vocab_size, d))
     weights[PAD_ID] = 0.0
     return EmbeddingMatrix(Tensor(weights, requires_grad=True))
@@ -64,7 +72,7 @@ def load_pretrained(
     vocab: Vocabulary,
     d_expected: int,
     rng: Rng,
-    scale: float = 0.1,
+    scale: float = DEFAULT_SCALE,
 ) -> tuple[EmbeddingMatrix, CoverageReport]:
     """Static (frozen) matrix from a text vector file.
 
@@ -133,7 +141,6 @@ def lookup(emb: EmbeddingMatrix, batch: EncodedBatch | np.ndarray) -> Tensor:
             f"[{ids.min()}, {ids.max()}]"
         )
     weights = emb.weights
-    out = Tensor(weights.data[ids], requires_grad=weights.requires_grad)
 
     def bw(g):
         grad = np.zeros_like(weights.data)
@@ -141,5 +148,4 @@ def lookup(emb: EmbeddingMatrix, batch: EncodedBatch | np.ndarray) -> Tensor:
         grad[PAD_ID] = 0.0  # padding must not inject signal
         return (grad,)
 
-    record_op(out, (weights,), bw)
-    return out
+    return tc.op(weights.data[ids], (weights,), bw)

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as tc
-from .tensor import Rng, ShapeError, Tensor, record_op
+from .tensor import Rng, ShapeError, Tensor
 from .embeddings import EmbeddingMatrix, lookup
 from .text import EncodedBatch
 
@@ -261,73 +261,55 @@ def conv1d_valid(e: Tensor, filt: Tensor, activation: str = "identity") -> Tenso
     (B, H, d) map, a branch's (m, k, d) bank gives the (B, H, d, m) block
     of its maps, already in the channel-last layout of the stack.
     """
+    return _conv(e, filt, activation, same=False)
+
+
+def conv1d_same(e: Tensor, filt: Tensor, activation: str = "identity") -> Tensor:
+    """Length-preserving convolution: the valid convolution of the input
+    zero-padded with floor((k-1)/2) rows in front and ceil((k-1)/2) behind.
+    Filters are shaped as for `conv1d_valid`.  The padding is part of the
+    one recorded op: the op builds the padded buffer itself, and its
+    backward returns the unpadded rows of the padded input's gradient."""
+    return _conv(e, filt, activation, same=True)
+
+
+def _conv(e: Tensor, filt: Tensor, activation: str, same: bool) -> Tensor:
     if e.ndim != 3 or filt.ndim < 2:
         raise ShapeError(f"conv1d expects (B,n,d) and (...,k,d), got {e.shape} and {filt.shape}")
+    if activation not in ("identity", "relu"):
+        raise ConfigError(f"unknown conv activation {activation!r}")
     batch, n, d = e.shape
     k, fd = filt.shape[-2:]
     if fd != d:
         raise ShapeError(f"filter width {fd} does not match embedding dim {d}")
-    if k > n:
+    left, right = ((k - 1) // 2, k // 2) if same else (0, 0)
+    if k > n + left + right:
         raise ShapeError(f"filter length {k} exceeds sequence length {n}")
-    height = n - k + 1
+    padded = e.data
+    if same:
+        padded = np.zeros((batch, n + left + right, d))
+        padded[:, left : left + n, :] = e.data
+    height = n + left + right - k + 1
     bank = filt.data.reshape(-1, k, d)
     maps = bank.shape[0]
 
     # One batched matmul over d: (B*H, k) windows times (k, m) filters per column.
-    windows = sliding_window_view(e.data, k, axis=1)  # (B, H, d, k), no copy
+    windows = sliding_window_view(padded, k, axis=1)  # (B, H, d, k), no copy
     columns = windows.transpose(2, 0, 1, 3).reshape(d, batch * height, k)
     data = np.empty((batch, height, d, maps))
     np.matmul(columns, bank.transpose(2, 1, 0), out=data.reshape(batch * height, d, maps).transpose(1, 0, 2))
-    out = Tensor(data.reshape((batch, height, d) + filt.shape[:-2]), requires_grad=tc._propagates(e, filt))
 
     def bw(g):
         g = g.reshape(batch, height, d, maps)
         g_windows = np.einsum("bhdm,mkd->bhdk", g, bank, optimize=True)
-        de = np.zeros_like(e.data)
+        d_padded = np.zeros_like(padded)
         for i in range(k):
-            de[:, i : i + height, :] += g_windows[..., i]
+            d_padded[:, i : i + height, :] += g_windows[..., i]
         dfilt = np.einsum("bhdk,bhdm->mkd", windows, g, optimize=True)
-        return de, dfilt.reshape(filt.shape)
+        return d_padded[:, left : left + n, :], dfilt.reshape(filt.shape)
 
-    record_op(out, (e, filt), bw)
-    return _conv_activation(out, activation)
-
-
-def conv1d_same(e: Tensor, filt: Tensor, activation: str = "identity") -> Tensor:
-    """Length-preserving convolution: zero-pad floor((k-1)/2) rows in front
-    and ceil((k-1)/2) behind, then run the valid convolution.  Filters are
-    shaped as for `conv1d_valid`; the input is padded once per call."""
-    if e.ndim != 3 or filt.ndim < 2:
-        raise ShapeError(f"conv1d expects (B,n,d) and (...,k,d), got {e.shape} and {filt.shape}")
-    k = filt.shape[-2]
-    left = (k - 1) // 2
-    right = (k - 1) - left
-    padded = _pad_length(e, left, right)
-    return conv1d_valid(padded, filt, activation)
-
-
-def _conv_activation(out: Tensor, activation: str) -> Tensor:
-    if activation == "identity":
-        return out
-    if activation == "relu":
-        return tc.relu(out)
-    raise ConfigError(f"unknown conv activation {activation!r}")
-
-
-def _pad_length(e: Tensor, left: int, right: int) -> Tensor:
-    """Zero-pad along the length axis of a (B, n, d) tensor."""
-    if left == 0 and right == 0:
-        return e
-    batch, n, d = e.shape
-    data = np.zeros((batch, n + left + right, d))
-    data[:, left : left + n, :] = e.data
-    out = Tensor._wrap(data, requires_grad=e.requires_grad)
-
-    def bw(g):
-        return (np.ascontiguousarray(g[:, left : left + n, :]),)
-
-    record_op(out, (e,), bw)
-    return out
+    out = tc.op(data.reshape((batch, height, d) + filt.shape[:-2]), (e, filt), bw)
+    return tc.relu(out) if activation == "relu" else out
 
 
 # --------------------------------------------------------------------------
@@ -350,8 +332,6 @@ def stack_channels(maps: list[Tensor]) -> Tensor:
                 "all stacked channels must agree"
             )
     blocks = [m.data.reshape(shape + (-1,)) for m in maps]
-    data = np.concatenate(blocks, axis=-1)
-    out = Tensor._wrap(data, requires_grad=any(m.requires_grad for m in maps))
     starts = np.cumsum([blk.shape[-1] for blk in blocks])[:-1]
 
     def bw(g):
@@ -359,8 +339,7 @@ def stack_channels(maps: list[Tensor]) -> Tensor:
             part.reshape(m.shape) for m, part in zip(maps, np.split(g, starts, axis=-1))
         )
 
-    record_op(out, tuple(maps), bw)
-    return out
+    return tc.op(np.concatenate(blocks, axis=-1), tuple(maps), bw, scan=False)
 
 
 def se_squeeze(stacked: Tensor) -> Tensor:
@@ -393,15 +372,13 @@ def se_scale(stacked: Tensor, gates: Tensor) -> Tensor:
             f"channel counts disagree: feature maps {stacked.shape}, gates {gates.shape}"
         )
     expanded = gates.data[:, None, None, :]
-    out = Tensor(stacked.data * expanded, requires_grad=tc._propagates(stacked, gates))
 
     def bw(g):
         d_stacked = g * expanded
         d_gates = np.einsum("bhwm,bhwm->bm", g, stacked.data)
         return d_stacked, d_gates
 
-    record_op(out, (stacked, gates), bw)
-    return out
+    return tc.op(stacked.data * expanded, (stacked, gates), bw)
 
 
 def se_sum(scaled: Tensor) -> Tensor:
@@ -446,7 +423,6 @@ def piecewise_maxpool(summed: Tensor, pieces: int) -> Tensor:
         idx = np.argmax(seg, axis=1)
         argmaxes.append(idx)
         values[:, s, :] = np.take_along_axis(seg, idx[:, None, :], axis=1)[:, 0, :]
-    out = Tensor._wrap(values, requires_grad=summed.requires_grad)
 
     def bw(g):
         full = np.zeros_like(summed.data)
@@ -456,8 +432,7 @@ def piecewise_maxpool(summed: Tensor, pieces: int) -> Tensor:
             )
         return (full,)
 
-    record_op(out, (summed,), bw)
-    return out
+    return tc.op(values, (summed,), bw, scan=False)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: Rng | None) -> Tensor:
@@ -471,13 +446,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: Rng | None) -> Tensor:
         raise ValueError("training-mode dropout requires an Rng")
     keep = 1.0 - rate
     mask = (rng.random(x.shape) >= rate) / keep
-    out = Tensor(x.data * mask, requires_grad=x.requires_grad)
-
-    def bw(g):
-        return (g * mask,)
-
-    record_op(out, (x,), bw)
-    return out
+    return tc.op(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -486,13 +455,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"dense expects (B,F), (F,C), (C,), got {x.shape}, {w.shape}, {b.shape}")
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"dense shapes disagree: {x.shape} @ {w.shape} + {b.shape}")
-    out = Tensor(x.data @ w.data + b.data, requires_grad=tc._propagates(x, w, b))
-
-    def bw(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
-
-    record_op(out, (x, w, b), bw)
-    return out
+    return tc.op(
+        x.data @ w.data + b.data, (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
+    )
 
 
 # --------------------------------------------------------------------------

@@ -2,21 +2,17 @@
 
 Everything array-valued in this package is a :class:`Tensor`: a contiguous
 row-major float64 numpy buffer plus a ``requires_grad`` flag (the gradients
-:func:`backward` returns are the one exception; see there).  Operations
-executed while a :class:`GradTape` is active are recorded on the tape in
-execution order; :func:`backward` replays the tape in exact reverse order
-and returns a gradient for every ``requires_grad`` tensor in the loss
-ancestry.  :func:`finite_diff_grad` is the independent central-difference
-oracle used to verify the analytic gradients.
+:func:`backward` returns are the one exception; see there).  Every
+operation makes its output through :func:`op`, which records it on the
+active :class:`GradTape`; :func:`backward` replays the tape in exact
+reverse order and returns a gradient for every ``requires_grad`` tensor in
+the loss ancestry.  :func:`finite_diff_grad` is the independent
+central-difference oracle used to verify the analytic gradients.
 
 Scope is deliberately narrow: only the ops the model and the gradient
 oracle use, no broadcasting, and one 2-D product, the bias-free ``linear``
-layer.  Every operation that can create a NaN or Inf checks its result and
-raises :class:`NumericError`, so numerical blow-ups surface at the op that
-produced them.  Ops whose outputs only copy, select or zero values of their
-already-checked inputs skip that full-size scan: ``reshape`` and ``relu``
-here, and ``stack_channels``, the same-padding pad and ``piecewise_maxpool``
-in the model.
+layer.  Numerical blow-ups surface at the op that produced them, by the
+scan rule stated at :func:`op`.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "GradTape",
+    "op",
     "Rng",
     "ShapeError",
     "NumericError",
@@ -154,6 +151,27 @@ def record_op(
         tape._ops.append((out, inputs, backward_fn))
 
 
+def op(
+    value: np.typing.ArrayLike,
+    inputs: tuple[Tensor, ...],
+    backward_fn: Callable[[np.ndarray], tuple[Optional[np.ndarray], ...]],
+    *,
+    scan: bool = True,
+) -> Tensor:
+    """The output of one operation: `value` as a Tensor, recorded with
+    `record_op`.  It requires a gradient when any input does.
+
+    The scan rule: the output is converted and checked as by `Tensor()`, so
+    an op that made a NaN or Inf raises `NumericError`.  Pass `scan=False`
+    only for a float64 array that copies, selects or zeroes values of
+    already-checked inputs; it is wrapped as it is, without a copy.
+    """
+    requires_grad = any(t.requires_grad for t in inputs)
+    out = Tensor(value, requires_grad) if scan else Tensor._wrap(value, requires_grad)
+    record_op(out, inputs, backward_fn)
+    return out
+
+
 def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, Tensor]:
     """Reverse-replay `tape` from scalar `loss`, returning a gradient map.
 
@@ -192,10 +210,7 @@ def backward(loss: Tensor, tape: GradTape) -> dict[Tensor, Tensor]:
 
 
 # --------------------------------------------------------------------------
-# Helpers
-
-def _propagates(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
+# Elementwise operations
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
@@ -206,28 +221,13 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# --------------------------------------------------------------------------
-# Elementwise operations
-
 def relu(a: Tensor) -> Tensor:
-    out = Tensor._wrap(np.maximum(a.data, 0.0), requires_grad=a.requires_grad)
-
-    def bw(g):
-        return (g * (a.data > 0.0),)
-
-    record_op(out, (a,), bw)
-    return out
+    return op(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),), scan=False)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     y = _stable_sigmoid(a.data)
-    out = Tensor(y, requires_grad=a.requires_grad)
-
-    def bw(g):
-        return (g * y * (1.0 - y),)
-
-    record_op(out, (a,), bw)
-    return out
+    return op(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 # --------------------------------------------------------------------------
@@ -239,23 +239,11 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"linear expects 2-D operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear inner dimensions disagree: {x.shape} @ {w.shape}.T")
-    out = Tensor(x.data @ w.data.T, requires_grad=_propagates(x, w))
-
-    def bw(g):
-        return g @ w.data, g.T @ x.data
-
-    record_op(out, (x, w), bw)
-    return out
+    return op(x.data @ w.data.T, (x, w), lambda g: (g @ w.data, g.T @ x.data))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
-    out = Tensor._wrap(a.data.reshape(shape), requires_grad=a.requires_grad)
-
-    def bw(g):
-        return (g.reshape(a.shape),)
-
-    record_op(out, (a,), bw)
-    return out
+    return op(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),), scan=False)
 
 
 # --------------------------------------------------------------------------
@@ -280,18 +268,18 @@ def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
     return tuple(sorted(norm))
 
 
-def reduce(op: str, a: Tensor, axes: Union[int, Iterable[int], None] = None) -> Tensor:
-    """Reduce over `axes` (None means all) with op in {mean, sum}.
+def reduce(kind: str, a: Tensor, axes: Union[int, Iterable[int], None] = None) -> Tensor:
+    """Reduce over `axes` (None means all) with kind in {mean, sum}.
 
     The reduced axes are dropped from the output shape.
     """
-    if op not in ("sum", "mean"):
-        raise ValueError(f"unknown reduce op {op!r}")
+    if kind not in ("sum", "mean"):
+        raise ValueError(f"unknown reduce op {kind!r}")
     axes = _normalize_axes(axes, a.ndim)
     count = 1
     for ax in axes:
         count *= a.shape[ax]
-    if op == "mean":
+    if kind == "mean":
         # Shifted mean: averaging the residuals against a reference
         # slice keeps the mean of a constant block exact.
         ref_idx = tuple(0 if i in axes else slice(None) for i in range(a.ndim))
@@ -300,16 +288,14 @@ def reduce(op: str, a: Tensor, axes: Union[int, Iterable[int], None] = None) -> 
         data = ref + centered.sum(axis=axes) / count
     else:
         data = a.data.sum(axis=axes)
-    out = Tensor(data, requires_grad=a.requires_grad)
 
     def bw(g):
         expanded = np.expand_dims(g, axes)
-        if op == "mean":
+        if kind == "mean":
             expanded = expanded / count
         return (np.broadcast_to(expanded, a.shape),)
 
-    record_op(out, (a,), bw)
-    return out
+    return op(data, (a,), bw)
 
 
 # --------------------------------------------------------------------------

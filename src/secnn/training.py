@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import GradTape, NumericError, Rng, ShapeError, Tensor, backward, finite_diff_grad, record_op
+from . import tensor as tc
+from .tensor import GradTape, NumericError, Rng, ShapeError, Tensor, backward, finite_diff_grad
 from .text import (
     DataError,
     EncodedBatch,
@@ -21,7 +22,7 @@ from .text import (
     load_dataset,
     split_train_dev,
 )
-from .embeddings import init_random, load_pretrained
+from .embeddings import DEFAULT_SCALE, check_scale, init_random, load_pretrained
 from .model import ConfigError, ModelConfig, ModelParams, forward, init_params
 from .checkpoint import save_checkpoint
 
@@ -80,12 +81,11 @@ class EmbeddingsConfig:
     `vectors` file where it has them; updated by training when `trainable`."""
 
     trainable: bool = True
-    scale: float = 0.1
+    scale: float = DEFAULT_SCALE
     vectors: str | None = None
 
     def __post_init__(self):
-        if not 0 < 2 * self.scale < float("inf"):  # uniform(-scale, scale) needs a finite range
-            raise ConfigError(f"scale must be positive with 2 * scale finite, got {self.scale}")
+        check_scale(self.scale, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,6 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     total = exps.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(total)
     loss_value = -log_probs[np.arange(batch), labels].mean()
-    out = Tensor(loss_value, requires_grad=logits.requires_grad)
-
     softmax = exps / total
 
     def bw(g):
@@ -132,8 +130,7 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
         grad[np.arange(batch), labels] -= 1.0
         return (grad * (float(g) / batch),)
 
-    record_op(out, (logits,), bw)
-    return out
+    return tc.op(loss_value, (logits,), bw)
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:

@@ -190,6 +190,34 @@ def test_train_wrong_type_config_value_exits_1(tmp_path, keyword_csv, capsys, ov
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep-ratio"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_is_a_file_exits_1_before_training(tmp_path, keyword_csv, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    out = taken / "run" if below else taken
+    args = fast_train_args(keyword_csv, out)
+    args[0] = command
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+    assert "epoch=" not in captured.out and "r=" not in captured.out  # nothing was trained
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_unwritable_outputs_exit_1_with_one_line(tmp_path, keyword_csv, monkeypatch, capsys):
+    import secnn.training as training_mod
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(training_mod, "save_checkpoint", disk_full)
+    assert main(fast_train_args(keyword_csv, tmp_path / "run")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "No space left on device" in err
+
+
 def test_train_numeric_failure_exits_3(tmp_path, keyword_csv, monkeypatch):
     import secnn.cli as cli_mod
 

@@ -5,7 +5,8 @@ import pytest
 
 import secnn.tensor as tc
 from secnn import GradTape, Rng, backward
-from secnn.embeddings import init_random, load_pretrained, lookup
+from secnn.embeddings import DEFAULT_SCALE, init_random, load_pretrained, lookup
+from secnn.training import EmbeddingsConfig
 from secnn.text import PAD_ID, UNK_ID, DataError, LabeledExample, build_vocab
 
 
@@ -32,6 +33,21 @@ def test_unk_row_is_random_and_trainable():
     emb = init_random(6, 4, Rng(2))
     assert not np.array_equal(emb.weights.data[UNK_ID], np.zeros(4))
     assert emb.trainable and emb.weights.requires_grad
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf"), 1e308])
+def test_init_random_rejects_a_scale_without_a_finite_range(scale):
+    # the run config and init_random share one rule: uniform(-scale, scale) must be finite
+    with pytest.raises(ValueError, match="scale"):
+        init_random(4, 3, Rng(0), scale=scale)
+    with pytest.raises(ValueError, match="scale"):
+        EmbeddingsConfig(scale=scale)
+
+
+def test_default_scale_is_stated_once():
+    assert EmbeddingsConfig().scale == DEFAULT_SCALE
+    assert np.array_equal(init_random(9, 4, Rng(3)).weights.data,
+                          init_random(9, 4, Rng(3), scale=DEFAULT_SCALE).weights.data)
 
 
 def test_same_seed_identical_matrix():

@@ -116,6 +116,32 @@ def test_conv_same_interior_matches_valid(k):
     assert np.max(np.abs(same[:, left : left + valid.shape[1], :] - valid)) < 1e-12
 
 
+@pytest.mark.parametrize("k", range(1, 8))
+def test_conv_same_is_valid_conv_of_the_zero_padded_input(k):
+    # bitwise, in value and both gradients, for odd and even k up to n + 2
+    rng = Rng(40 + k)
+    batch, n, d, m = 2, 5, 3, 2
+    left = (k - 1) // 2
+    e = Tensor(rng.uniform(-2, 2, (batch, n, d)), requires_grad=True)
+    padded = Tensor(np.pad(e.data, ((0, 0), (left, k - 1 - left), (0, 0))), requires_grad=True)
+    bank = Tensor(rng.uniform(-2, 2, (m, k, d)), requires_grad=True)
+    explicit_bank = Tensor(bank.data.copy(), requires_grad=True)
+    weight = Tensor(rng.uniform(-1, 1, (batch, n, d, m)))
+
+    with GradTape() as tape:
+        same = conv1d_same(e, bank)
+        loss = weighted_sum(same, weight)
+    grads = backward(loss, tape)
+    with GradTape() as tape:
+        valid = conv1d_valid(padded, explicit_bank)
+        loss = weighted_sum(valid, weight)
+    explicit = backward(loss, tape)
+
+    assert same.data.tobytes() == valid.data.tobytes()
+    assert grads[e].data.tobytes() == explicit[padded].data[:, left : left + n].tobytes()
+    assert grads[bank].data.tobytes() == explicit[explicit_bank].data.tobytes()
+
+
 def test_conv_relu_activation():
     e = Tensor(np.full((1, 4, 2), -1.0))
     f = Tensor(np.ones((2, 2)))
@@ -705,5 +731,21 @@ def test_training_step_tape_ops_do_not_grow_with_maps(activation):
         with GradTape() as tape:
             logits = forward(params, cfg, batch, training=True, rng=Rng(0))
             cross_entropy_loss(logits, batch.labels)
+        counts.append(len(tape))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("activation", ["identity", "relu"])
+def test_same_padding_records_no_pad_op(activation):
+    # same padding lives inside the conv op: a trainable-embedding step records
+    # exactly as many ops as the valid-padding step of the same branch count
+    counts = []
+    for filter_sizes, padding in (([2, 3], "same"), ([3, 3], "valid")):
+        cfg, params, batch = tiny_setup(
+            filter_sizes=filter_sizes, padding=padding, conv_activation=activation
+        )
+        assert params.embedding.trainable
+        with GradTape() as tape:
+            cross_entropy_loss(forward(params, cfg, batch, training=True, rng=Rng(0)), batch.labels)
         counts.append(len(tape))
     assert counts[0] == counts[1]

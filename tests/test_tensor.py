@@ -1,6 +1,9 @@
 """Tensor core: elementwise ops, the linear layer, reductions, the tape,
 and the finite-difference oracle."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,63 @@ def test_reduce_axis_errors():
         tc.reduce("sum", t, axes=(0, 0))
     with pytest.raises(ValueError, match="unknown reduce op"):
         tc.reduce("max", t)
+
+
+# --------------------------------------------------------------------------
+# tc.op: the one way an op makes its output
+
+def _no_grad(g):
+    raise AssertionError("backward must not run")
+
+
+def test_op_requires_grad_when_any_input_does():
+    frozen, live = Tensor([1.0]), Tensor([2.0], requires_grad=True)
+    assert tc.op(np.zeros(1), (frozen, live), _no_grad).requires_grad
+    assert not tc.op(np.zeros(1), (frozen, frozen), _no_grad).requires_grad
+    assert not tc.op(np.zeros(1), (), _no_grad).requires_grad
+
+
+def test_op_records_only_under_an_active_tape_and_only_with_a_gradient():
+    live = Tensor([2.0], requires_grad=True)
+    tc.op(np.zeros(1), (live,), _no_grad)  # no tape: nothing to record on
+    with GradTape() as tape:
+        out = tc.op(np.ones(1), (live,), lambda g: (3.0 * g,))
+        tc.op(np.zeros(1), (Tensor([1.0]),), _no_grad)  # no input needs a gradient
+    assert len(tape) == 1
+    assert backward(out, tape)[live].tolist() == [3.0]
+
+
+def test_op_scan_raises_at_the_op_that_made_a_nan_or_inf():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError):
+            tc.op(np.array([1.0, bad]), (Tensor([1.0]),), _no_grad)
+
+
+def test_op_without_scan_wraps_the_same_array():
+    value = np.array([1.0, np.nan])  # not scanned, so not rejected
+    out = tc.op(value, (Tensor([1.0], requires_grad=True),), _no_grad, scan=False)
+    assert out.data is value and out.requires_grad
+
+
+def _referenced_names(node) -> list[str]:
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def test_only_tensor_module_makes_taped_outputs_by_hand():
+    # every other module builds its ops with tc.op, so ops are made in one place
+    offenders = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(Path(tc.__file__).resolve().parent.glob("*.py")) if path.name != "tensor.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _referenced_names(node) if name in ("record_op", "_wrap")
+    ]
+    assert offenders == []
 
 
 # --------------------------------------------------------------------------
