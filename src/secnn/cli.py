@@ -273,7 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-ratio", help="train once per increasing ratio")
     common(p_sweep)
     p_sweep.add_argument("--ratios", default=None,
-                         help="comma-separated ratio list (default 2,4,8,16,32,64)")
+                         help="comma-separated ratio list (default "
+                         f"{','.join(map(str, DEFAULT_RATIOS))})")
     return parser
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as tc
 from .tensor import Rng, Tensor
-from .text import PAD_ID, UNK_ID, DataError, EncodedBatch, Vocabulary
+from .text import PAD_ID, UNK_ID, DataError, Vocabulary
 
 __all__ = ["EmbeddingMatrix", "CoverageReport", "check_scale", "init_random", "load_pretrained", "lookup"]
 
@@ -126,13 +126,13 @@ def _all_ints(parts: list[str]) -> bool:
         return False
 
 
-def lookup(emb: EmbeddingMatrix, batch: EncodedBatch | np.ndarray) -> Tensor:
-    """Gather rows: output[b, j, :] = weights[ids[b, j], :].
+def lookup(emb: EmbeddingMatrix, ids: np.ndarray) -> Tensor:
+    """Gather rows of a (B, n) id matrix: output[b, j, :] = weights[ids[b, j], :].
 
     Backward scatters gradients to the looked-up rows only, masks the PAD
     row, and is skipped entirely for frozen matrices.
     """
-    ids = batch.ids if isinstance(batch, EncodedBatch) else np.asarray(batch, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
         raise DataError(f"expected an id matrix (B x n), got shape {ids.shape}")
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= emb.vocab_size:

@@ -269,7 +269,8 @@ def conv1d_same(e: Tensor, filt: Tensor, activation: str = "identity") -> Tensor
     zero-padded with floor((k-1)/2) rows in front and ceil((k-1)/2) behind.
     Filters are shaped as for `conv1d_valid`.  The padding is part of the
     one recorded op: the op builds the padded buffer itself, and its
-    backward returns the unpadded rows of the padded input's gradient."""
+    backward returns the unpadded rows of the padded input's gradient (or
+    None, with the filter gradient alone, for an input that needs none)."""
     return _conv(e, filt, activation, same=True)
 
 
@@ -301,12 +302,15 @@ def _conv(e: Tensor, filt: Tensor, activation: str, same: bool) -> Tensor:
 
     def bw(g):
         g = g.reshape(batch, height, d, maps)
-        g_windows = np.einsum("bhdm,mkd->bhdk", g, bank, optimize=True)
-        d_padded = np.zeros_like(padded)
-        for i in range(k):
-            d_padded[:, i : i + height, :] += g_windows[..., i]
+        d_e = None  # frozen embeddings: nobody reads the input's gradient
+        if e.requires_grad:
+            g_windows = np.einsum("bhdm,mkd->bhdk", g, bank, optimize=True)
+            d_padded = np.zeros_like(padded)
+            for i in range(k):
+                d_padded[:, i : i + height, :] += g_windows[..., i]
+            d_e = d_padded[:, left : left + n, :]
         dfilt = np.einsum("bhdk,bhdm->mkd", windows, g, optimize=True)
-        return d_padded[:, left : left + n, :], dfilt.reshape(filt.shape)
+        return d_e, dfilt.reshape(filt.shape)
 
     out = tc.op(data.reshape((batch, height, d) + filt.shape[:-2]), (e, filt), bw)
     return tc.relu(out) if activation == "relu" else out

@@ -130,16 +130,12 @@ def build_vocab(
     """
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
+    counts: dict[str, int] = {}  # insertion order is first occurrence
     for example in corpus:
         for tok in tokenize(example.text):
-            if tok not in counts:
-                first_seen[tok] = len(first_seen)
-                counts[tok] = 0
-            counts[tok] += 1
+            counts[tok] = counts.get(tok, 0) + 1
     kept = [tok for tok, c in counts.items() if c >= min_freq]
-    kept.sort(key=lambda tok: (-counts[tok], first_seen[tok]))
+    kept.sort(key=lambda tok: -counts[tok])  # stable: ties keep first occurrence
     if max_size is not None:
         kept = kept[: max(max_size - 2, 0)]
     return Vocabulary(kept)

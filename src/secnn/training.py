@@ -50,6 +50,11 @@ ADAM_EPS = 1e-8
 
 GRADCHECK_TOLERANCE = 1e-4
 
+# Sentences per dropout-off forward in every accuracy pass.  Passes of 16 run
+# faster alone, but can leave later training steps in the same process to
+# page-fault every step (README, "Speed and memory").
+EVAL_BATCH = 64
+
 
 @dataclass
 class TrainConfig:
@@ -273,22 +278,16 @@ def _iter_batches(n: int, batch_size: int, order: np.ndarray | None = None):
 
 
 def _accuracy_pass(
-    params: ModelParams,
-    config: ModelConfig,
-    ids: np.ndarray,
-    labels: np.ndarray,
-    batch_size: int,
+    params: ModelParams, config: ModelConfig, ids: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Dropout-off accuracy plus the confusion matrix (rows = true class)."""
+    """Dropout-off accuracy plus the confusion matrix (rows = true class),
+    `EVAL_BATCH` sentences per forward."""
     classes = config.num_classes
     confusion = np.zeros((classes, classes), dtype=np.int64)
-    for chunk in _iter_batches(ids.shape[0], batch_size):
+    for chunk in _iter_batches(ids.shape[0], EVAL_BATCH):
         logits = forward(params, config, ids[chunk], training=False)
-        pred = np.argmax(logits.data, axis=1)
-        for true, hat in zip(labels[chunk], pred):
-            confusion[true, hat] += 1
-    correct = np.trace(confusion)
-    return float(correct / max(ids.shape[0], 1)), confusion
+        np.add.at(confusion, (labels[chunk], np.argmax(logits.data, axis=1)), 1)
+    return float(np.trace(confusion) / max(ids.shape[0], 1)), confusion
 
 
 def _snapshot(params: ModelParams) -> dict[str, np.ndarray]:
@@ -373,12 +372,8 @@ def train(
             loss_total += loss.item() * len(chunk)
         train_loss = loss_total / len(train_set)
 
-        train_acc, _ = _accuracy_pass(
-            params, model_config, train_batch.ids, train_batch.labels, train_config.batch_size
-        )
-        dev_acc, _ = _accuracy_pass(
-            params, model_config, dev_batch.ids, dev_batch.labels, train_config.batch_size
-        )
+        train_acc, _ = _accuracy_pass(params, model_config, train_batch.ids, train_batch.labels)
+        dev_acc, _ = _accuracy_pass(params, model_config, dev_batch.ids, dev_batch.labels)
         report.epochs.append(EpochStats(epoch, train_loss, train_acc, dev_acc))
         if log is not None:
             log(f"epoch={epoch} train_loss={train_loss:.6f} train_acc={train_acc:.4f} dev_acc={dev_acc:.4f}")
@@ -415,19 +410,17 @@ def train(
 # Evaluation and prediction
 
 def evaluate(
-    params: ModelParams,
-    config: ModelConfig,
-    vocab: Vocabulary,
-    examples: list[LabeledExample],
-    batch_size: int = 64,
+    params: ModelParams, config: ModelConfig, vocab: Vocabulary, examples: list[LabeledExample]
 ) -> EvalResult:
-    """Dropout-off accuracy with argmax predictions; row-order invariant."""
+    """Dropout-off accuracy with argmax predictions, `EVAL_BATCH` sentences
+    per forward, as `train()` computes its train and dev accuracy;
+    row-order invariant."""
     if not examples:
         raise DataError("cannot evaluate on an empty dataset")
     if any(ex.label >= config.num_classes or ex.label < 0 for ex in examples):
         raise DataError("dataset contains labels outside the model's classes")
     batch = encode_examples(examples, vocab, config.n_max)
-    accuracy, confusion = _accuracy_pass(params, config, batch.ids, batch.labels, batch_size)
+    accuracy, confusion = _accuracy_pass(params, config, batch.ids, batch.labels)
     return EvalResult(accuracy=accuracy, confusion=confusion, total=len(examples))
 
 

@@ -250,6 +250,32 @@ def test_conv_bank_matches_plain_loop_reference(case):
     assert rel_err(grads[bank].data, fd_bank.data) < 1e-6
 
 
+@pytest.mark.parametrize("conv_fn", [conv1d_valid, conv1d_same])
+def test_conv_backward_skips_a_frozen_input(conv_fn, monkeypatch):
+    # frozen vectors: no input gradient, and bitwise the filter gradient of a trainable input
+    rng = Rng(41)
+    values = rng.uniform(-1, 1, (2, 6, 4))
+    bank = Tensor(rng.uniform(-1, 1, (3, 3, 4)), requires_grad=True)
+    captured, record = [], tc.record_op
+
+    def spy(out, inputs, backward_fn):
+        if inputs[-1] is bank:
+            captured.append((out, backward_fn))
+        record(out, inputs, backward_fn)
+
+    monkeypatch.setattr(tc, "record_op", spy)
+    grads = []
+    for trainable in (False, True):
+        with GradTape():
+            conv_fn(Tensor(values, requires_grad=trainable), bank)
+        out, backward_fn = captured.pop()
+        grads.append(backward_fn(np.linspace(-1, 1, out.size).reshape(out.shape)))
+    (frozen_e, frozen_bank), (trainable_e, trainable_bank) = grads
+    assert frozen_e is None
+    assert trainable_e.shape == values.shape
+    assert np.array_equal(frozen_bank, trainable_bank)
+
+
 # --------------------------------------------------------------------------
 # Channel stack
 

@@ -50,6 +50,8 @@ def test_build_vocab_ordering():
     vocab = build_vocab(corpus("the cat", "the dog"), min_freq=1)
     assert {t: vocab.id_of(t) for t in ("the", "cat", "dog")} == {"the": 2, "cat": 3, "dog": 4}
     assert len(vocab) == 5
+    tied = build_vocab(corpus("b a a b c c"), min_freq=1)  # a tie at count 2
+    assert tied.tokens() == ["b", "a", "c"]
 
 
 def test_build_vocab_min_freq():

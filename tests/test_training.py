@@ -1,21 +1,25 @@
 """Training: loss oracle, Adam trace, the epoch loop, evaluation, prediction."""
 
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import secnn.tensor as tc
+import secnn.training as training
 from secnn import GradTape, Rng, backward
 from secnn.embeddings import init_random
 from secnn.model import ConfigError, ModelConfig, config_from_dict, forward, init_params
 from secnn.tensor import NumericError, ShapeError, Tensor, record_op
-from secnn.text import EncodedBatch, build_vocab
+from secnn.text import EncodedBatch, build_vocab, split_train_dev
 from secnn.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    EVAL_BATCH,
     DataConfig,
     EmbeddingsConfig,
     OptimizerState,
@@ -382,6 +386,44 @@ def test_evaluate_row_order_invariant(trained):
     backwards = evaluate(result.params, result.config, result.vocab, examples[::-1])
     assert forwards.accuracy == backwards.accuracy
     assert np.array_equal(forwards.confusion, backwards.confusion)
+
+
+def count_eval_forwards(monkeypatch) -> list[int]:
+    """Patch the `forward` the training module calls; the returned list gets
+    the batch size of every dropout-off call."""
+    sizes, inner = [], training.forward
+
+    def counted(params, config, batch, **kwargs):
+        if not kwargs.get("training", False):
+            sizes.append(len(batch))
+        return inner(params, config, batch, **kwargs)
+
+    monkeypatch.setattr(training, "forward", counted)
+    return sizes
+
+
+def test_evaluate_forwards_eval_batch_sentences_at_a_time(trained, monkeypatch):
+    result, examples = trained
+    sizes = count_eval_forwards(monkeypatch)
+    evaluate(result.params, result.config, result.vocab, (examples * 3)[: 2 * EVAL_BATCH + 8])
+    assert sizes == [EVAL_BATCH, EVAL_BATCH, 8]
+
+
+def test_train_accuracy_passes_ignore_the_training_batch(monkeypatch):
+    dataset = make_keyword_dataset(150, seed=11)
+    tcfg = TrainConfig(batch_size=7, max_epochs=1, seed=5)
+    n_train, n_dev = map(len, split_train_dev(dataset[0], tcfg.dev_fraction, Rng(0)))
+    sizes = count_eval_forwards(monkeypatch)
+    train(desk_config(), tcfg, dataset)
+    assert len(sizes) == math.ceil(n_train / EVAL_BATCH) + math.ceil(n_dev / EVAL_BATCH)
+    assert max(sizes) == EVAL_BATCH
+
+
+def test_readme_eval_batch_is_the_constant():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Speed and memory", 1)[1].split("\n## ", 1)[0]
+    stated = re.search(r"takes (\d+) sentences at a time\s+\(`training\.EVAL_BATCH`\)", section)
+    assert stated is not None and int(stated.group(1)) == EVAL_BATCH
 
 
 def test_predict_probabilities_sum_to_one(trained):
